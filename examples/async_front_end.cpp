@@ -10,9 +10,9 @@
 // Usage: ./build/examples/async_front_end [clients=12] [queue=4]
 //        [max_batch=8]
 
+#include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <vector>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
@@ -60,24 +60,22 @@ int main(int argc, char** argv) {
   framework::AsyncFrontEnd front_end(loop, network, host, server, fc);
   framework::ServerEndpoint endpoint(network, host, server, front_end);
 
-  std::vector<std::unique_ptr<framework::WireClient>> clients;
+  framework::WireClientPool clients(loop, network, "10.0.0.1",
+                                    std::max<std::size_t>(1, n_clients), host);
   int served = 0;
   int overloaded = 0;
   int answered = 0;
-  for (std::size_t i = 0; i < n_clients; ++i) {
-    const std::string ip = "10.0.0." + std::to_string(i + 1);
-    clients.push_back(
-        std::make_unique<framework::WireClient>(loop, network, ip, host));
-    clients.back()->send_request(
-        "/resource", traffic.sample(false, rng),
-        [&, ip](const framework::Response& r, common::Duration d) {
-          ++answered;
-          if (r.status == common::ErrorCode::kOk) ++served;
-          if (r.status == common::ErrorCode::kUnavailable) ++overloaded;
-          std::printf("%-12s %-12s latency %7.1f ms\n", ip.c_str(),
-                      std::string(common::error_code_name(r.status)).c_str(),
-                      common::to_millis_f(d));
-        });
+  clients.set_response_handler([&](std::size_t c, const framework::Response& r,
+                                   common::Duration d) {
+    ++answered;
+    if (r.status == common::ErrorCode::kOk) ++served;
+    if (r.status == common::ErrorCode::kUnavailable) ++overloaded;
+    std::printf("%-12s %-12s latency %7.1f ms\n", clients.ip_of(c).c_str(),
+                std::string(common::error_code_name(r.status)).c_str(),
+                common::to_millis_f(d));
+  });
+  for (std::size_t c = 0; c < n_clients; ++c) {
+    clients.send_request(c, "/resource", traffic.sample(false, rng));
   }
 
   // run_until_idle starts the drain and pumps until the wire, queue,

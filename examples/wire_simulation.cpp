@@ -6,9 +6,9 @@
 //
 // Usage:   ./build/examples/wire_simulation [clients=6] [loss=0.05]
 
+#include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <vector>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
@@ -45,30 +45,38 @@ int main(int argc, char** argv) {
   framework::PowServer server(loop.clock(), model, policy, cfg);
   framework::ServerEndpoint endpoint(network, "198.51.100.250", server);
 
-  // Clients: half benign, half suspicious traffic patterns.
-  std::vector<std::unique_ptr<framework::WireClient>> clients;
+  // Clients: half benign, half suspicious traffic patterns, one pool per
+  // subnet (benign 10.0.0.x, suspicious 203.0.0.x). Client i is member
+  // i / 2 of its subnet's pool.
+  const std::size_t per_subnet = std::max<std::size_t>(1, (n_clients + 1) / 2);
+  framework::WireClientPool benign(loop, network, "10.0.0.1", per_subnet,
+                                   "198.51.100.250");
+  framework::WireClientPool suspicious(loop, network, "203.0.0.1", per_subnet,
+                                       "198.51.100.250");
   int served = 0;
   int answered = 0;
+  const auto report = [&](framework::WireClientPool& pool, bool malicious) {
+    pool.set_response_handler([&, malicious](std::size_t c,
+                                             const framework::Response& r,
+                                             common::Duration d) {
+      ++answered;
+      if (r.status == common::ErrorCode::kOk) ++served;
+      std::printf("%-12s %-10s latency %7.1f ms  status %s\n",
+                  pool.ip_of(c).c_str(), malicious ? "malicious" : "benign",
+                  common::to_millis_f(d),
+                  std::string(common::error_code_name(r.status)).c_str());
+    });
+  };
+  report(benign, false);
+  report(suspicious, true);
   for (std::size_t i = 0; i < n_clients; ++i) {
     const bool malicious = i % 2 == 1;
-    const std::string ip = (malicious ? "203.0.0." : "10.0.0.") +
-                           std::to_string(i / 2 + 1);
-    clients.push_back(std::make_unique<framework::WireClient>(
-        loop, network, ip, "198.51.100.250"));
+    framework::WireClientPool& pool = malicious ? suspicious : benign;
+    const std::size_t c = i / 2;
     const auto features = traffic.sample(malicious, rng);
-    const std::uint64_t id = clients.back()->send_request(
-        "/resource", features,
-        [&, ip, malicious](const framework::Response& r, common::Duration d) {
-          ++answered;
-          if (r.status == common::ErrorCode::kOk) ++served;
-          std::printf("%-12s %-10s latency %7.1f ms  status %s\n", ip.c_str(),
-                      malicious ? "malicious" : "benign",
-                      common::to_millis_f(d),
-                      std::string(common::error_code_name(r.status)).c_str());
-        });
-    if (id == 0) {
-      std::printf("%-12s %-10s request dropped on the wire\n", ip.c_str(),
-                  malicious ? "malicious" : "benign");
+    if (pool.send_request(c, "/resource", features) == 0) {
+      std::printf("%-12s %-10s request dropped on the wire\n",
+                  pool.ip_of(c).c_str(), malicious ? "malicious" : "benign");
     }
   }
 

@@ -15,7 +15,7 @@ std::array<std::uint8_t, Sha256::kBlockSize> normalize_key(
   if (key.size() > Sha256::kBlockSize) {
     const Digest digest = Sha256::hash(key);
     std::memcpy(block.data(), digest.data(), digest.size());
-  } else {
+  } else if (!key.empty()) {  // an empty key may be a null view
     std::memcpy(block.data(), key.data(), key.size());
   }
   return block;

@@ -297,6 +297,9 @@ void Sha256::reset() {
 
 void Sha256::update(common::BytesView data) {
   if (finished_) throw std::logic_error("Sha256::update after finish");
+  // An empty view may carry a null pointer, and memcpy from null is
+  // undefined even for zero bytes.
+  if (data.empty()) return;
   const CompressFn compress = active_compress();
   total_len_ += data.size();
   std::size_t offset = 0;

@@ -307,13 +307,15 @@ void AsyncFrontEnd::process_batch(RequestQueue& queue,
 
   // Route completions back onto the loop: sends happen on the loop
   // thread at the simulated instant the batch was accepted, so link
-  // modelling and wire determinism are untouched by pool threads.
-  loop_->post([network = network_, host = host_name_,
-               outgoing = std::move(outgoing)]() mutable {
-    for (auto& [to, payload] : outgoing) {
+  // modelling and wire determinism are untouched by pool threads. One
+  // posted event per message, in arrival order, so the loop's event
+  // count does not depend on how the drain happened to cut batches.
+  for (auto& [to, payload] : outgoing) {
+    loop_->post([network = network_, host = host_name_, to = std::move(to),
+                 payload = std::move(payload)]() mutable {
       (void)network->send(host, to, std::move(payload));
-    }
-  });
+    });
+  }
   queue.complete(n);
 
   {

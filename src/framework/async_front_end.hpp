@@ -195,8 +195,11 @@ class AsyncFrontEnd final {
   /// events executed. Simulated time advances only between settled
   /// instants — while any batch is in flight the clock is frozen at the
   /// instant its messages arrived, which is what keeps async totals
-  /// identical to a synchronous run. Call from the loop thread; do not
-  /// mix with a concurrent plain loop.run().
+  /// identical to a synchronous run. Every message the drain pops
+  /// posts exactly one completion event, so the returned count is the
+  /// same whatever batch sizes the drain happened to pop (max_batch,
+  /// thread timing). Call from the loop thread; do not mix with a
+  /// concurrent plain loop.run().
   std::size_t run_until_idle();
 
   /// True when the front end owes no responses (every shard queue

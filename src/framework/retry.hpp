@@ -7,7 +7,7 @@
 /// explicit kUnavailable into a bounded, deterministic retry schedule
 /// instead of either hanging forever or hammering the server.
 ///
-/// Semantics (WireClient / WireClientPool with a policy installed):
+/// Semantics (WireClientPool with a policy installed):
 /// - Every attempt reuses the *same request id*, so server-side
 ///   idempotent issuance (keyed per-id derivation) makes a retry
 ///   converge on the identical challenge — retries can never double

@@ -124,14 +124,6 @@ Response PowServer::shed_response(std::uint64_t request_id,
   return r;
 }
 
-ScoringTrace PowServer::last_trace() const {
-  ScoringTrace t;
-  t.score = trace_score_.load(kRelaxed);
-  t.difficulty = trace_difficulty_.load(kRelaxed);
-  t.from_cache = trace_from_cache_.load(kRelaxed);
-  return t;
-}
-
 common::ThreadPool& PowServer::ensure_pool() {
   std::call_once(pool_once_, [this] {
     pool_ = std::make_unique<common::ThreadPool>(config_.verify_threads,
@@ -225,9 +217,6 @@ std::variant<Challenge, Response> PowServer::on_request(const Request& request,
   // (4) issue the puzzle under the same stable identity.
   stats_.challenges_issued.fetch_add(1, kRelaxed);
   stats_.difficulty_sum.fetch_add(local.difficulty, kRelaxed);
-  trace_score_.store(local.score, kRelaxed);
-  trace_difficulty_.store(local.difficulty, kRelaxed);
-  trace_from_cache_.store(local.from_cache, kRelaxed);
   if (trace != nullptr) *trace = local;
   return Challenge{request.request_id,
                    generator_.issue_with_id(puzzle_id, request.client_ip,

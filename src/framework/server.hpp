@@ -170,9 +170,9 @@ struct ServerStats final {
   bool operator==(const ServerStats&) const = default;
 };
 
-/// Trace of one scoring decision (diagnostics/experiments). Produced
-/// per-call by on_request's out-parameter; the server also remembers the
-/// most recent one for single-threaded convenience (last_trace()).
+/// Trace of one scoring decision (diagnostics/experiments), produced
+/// per call by on_request's out-parameter. The server keeps no copy, so
+/// concurrent callers each see exactly their own decision.
 struct ScoringTrace final {
   double score = 0.0;
   policy::Difficulty difficulty = 0;
@@ -263,11 +263,6 @@ class PowServer final {
   /// accounting; exact when quiescent. Thread-safe.
   [[nodiscard]] std::size_t memory_bytes() const;
 
-  /// The most recent scoring decision. Convenient in single-threaded
-  /// use; under concurrency the fields are updated atomically but not as
-  /// one unit — prefer on_request's per-call \p trace there.
-  [[nodiscard]] ScoringTrace last_trace() const;
-
   [[nodiscard]] const ServerConfig& config() const { return config_; }
 
   /// The server's notion of now (its injected — possibly skewed — clock).
@@ -338,9 +333,6 @@ class PowServer final {
   std::once_flag batch_verifier_once_;
   std::unique_ptr<pow::BatchVerifier> batch_verifier_;  // lazy, borrows pool_
   AtomicStats stats_;
-  std::atomic<double> trace_score_{0.0};
-  std::atomic<policy::Difficulty> trace_difficulty_{0};
-  std::atomic<bool> trace_from_cache_{false};
 };
 
 }  // namespace powai::framework

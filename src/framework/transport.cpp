@@ -106,182 +106,6 @@ void ServerEndpoint::enqueue(const std::string& from, std::uint64_t request_id,
 }
 
 // ---------------------------------------------------------------------------
-// WireClient
-// ---------------------------------------------------------------------------
-
-WireClient::WireClient(netsim::EventLoop& loop, netsim::Network& network,
-                       std::string ip, std::string server_host,
-                       double hash_cost_us)
-    : loop_(&loop),
-      network_(&network),
-      ip_(std::move(ip)),
-      server_host_(std::move(server_host)),
-      hash_cost_us_(hash_cost_us) {
-  network_->add_host(ip_,
-                     [this](const std::string& from, common::BytesView payload) {
-                       on_message(from, payload);
-                     });
-}
-
-void WireClient::set_retry_policy(RetryPolicy policy) {
-  if (policy.enabled && policy.max_attempts == 0) {
-    throw std::invalid_argument("WireClient: retry max_attempts must be >= 1");
-  }
-  retry_ = policy;
-  client_key_ = retry_client_key(ip_);
-}
-
-std::uint64_t WireClient::send_request(const std::string& path,
-                                       const features::FeatureVector& features,
-                                       Callback done) {
-  Request request;
-  request.client_ip = ip_;
-  request.path = path;
-  request.features = features;
-  request.request_id = next_request_id_++;
-  if (retry_.enabled && retry_.request_deadline > common::Duration::zero()) {
-    request.deadline_ms =
-        common::to_millis(loop_->now() + retry_.request_deadline);
-  }
-  const bool sent = network_->send(ip_, server_host_, request.serialize());
-  if (!sent && !retry_.enabled) {
-    return 0;  // dropped by the link; single-shot mode never resolves
-  }
-  PendingRequest entry;
-  entry.done = std::move(done);
-  entry.sent_at = loop_->now();
-  auto [it, inserted] =
-      pending_.emplace(request.request_id, std::move(entry));
-  (void)inserted;
-  if (retry_.enabled) {
-    // Even a dropped first attempt is registered: the timer turns the
-    // silence into a resend (or eventually kTimeout), so `done` always
-    // fires — the liveness hole single-shot callers had to paper over.
-    it->second.path = path;
-    it->second.features = features;
-    it->second.deadline_ms = request.deadline_ms;
-    arm_timer(request.request_id, retry_.timeout);
-  }
-  return request.request_id;
-}
-
-void WireClient::arm_timer(std::uint64_t request_id, common::Duration in) {
-  auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  it->second.timer = loop_->schedule_in(
-      in, [this, request_id] { on_timeout(request_id); });
-}
-
-void WireClient::on_timeout(std::uint64_t request_id) {
-  auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;  // resolved in the meantime
-  it->second.timer = 0;
-  if (it->second.attempts >= retry_.max_attempts) {
-    Response timed_out;
-    timed_out.request_id = request_id;
-    timed_out.status = common::ErrorCode::kTimeout;
-    timed_out.body = "client retry budget exhausted";
-    resolve(request_id, timed_out);
-    return;
-  }
-  resend(request_id,
-         retry_backoff(retry_, client_key_, request_id, it->second.attempts));
-}
-
-void WireClient::resend(std::uint64_t request_id, common::Duration wait) {
-  auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  ++it->second.attempts;
-  it->second.timer = loop_->schedule_in(wait, [this, request_id] {
-    auto entry = pending_.find(request_id);
-    if (entry == pending_.end()) return;
-    Request request;
-    request.client_ip = ip_;
-    request.path = entry->second.path;
-    request.features = entry->second.features;
-    request.request_id = request_id;  // same id: idempotent on the server
-    request.deadline_ms = entry->second.deadline_ms;
-    (void)network_->send(ip_, server_host_, request.serialize());
-    arm_timer(request_id, retry_.timeout);
-  });
-}
-
-void WireClient::resolve(std::uint64_t request_id, const Response& response) {
-  auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  if (it->second.timer != 0) (void)loop_->cancel(it->second.timer);
-  PendingRequest pending = std::move(it->second);
-  pending_.erase(it);
-  pending.done(response, loop_->now() - pending.sent_at);
-}
-
-void WireClient::on_message(const std::string& /*from*/,
-                            common::BytesView payload) {
-  const auto message = decode(payload);
-  if (!message) return;  // noise on the wire
-  if (const auto* challenge = std::get_if<Challenge>(&*message)) {
-    on_challenge(*challenge);
-  } else if (const auto* response = std::get_if<Response>(&*message)) {
-    on_response(*response);
-  }
-}
-
-void WireClient::on_challenge(const Challenge& challenge) {
-  const auto it = pending_.find(challenge.request_id);
-  if (it == pending_.end()) return;  // stale/unknown
-  if (challenge_observer_) challenge_observer_(challenge);
-
-  // Really solve (correct nonce), but account for the time on the
-  // modelled CPU: one solver core, sequential backlog.
-  const pow::SolveResult solved = solver_.solve(challenge.puzzle);
-  ++solved_;
-  const auto solve_cost = std::chrono::duration_cast<common::Duration>(
-      std::chrono::duration<double, std::micro>(
-          static_cast<double>(solved.attempts) * hash_cost_us_));
-  const common::TimePoint start =
-      std::max(loop_->now(), solver_busy_until_);
-  solver_busy_until_ = start + solve_cost;
-
-  Submission submission;
-  submission.request_id = challenge.request_id;
-  submission.puzzle = challenge.puzzle;
-  submission.solution = solved.solution;
-  submission.deadline_ms = it->second.deadline_ms;  // deadline propagates
-  const common::Duration delay = solver_busy_until_ - loop_->now();
-  if (retry_.enabled) {
-    // The attempt clock restarts from the submission's send instant:
-    // solving is local progress, so only submission → response silence
-    // should count against the timeout.
-    if (it->second.timer != 0) (void)loop_->cancel(it->second.timer);
-    it->second.timer = 0;
-    arm_timer(challenge.request_id, delay + retry_.timeout);
-  }
-  loop_->schedule_in(delay, [this, submission = std::move(submission)] {
-    (void)network_->send(ip_, server_host_, submission.serialize());
-  });
-}
-
-void WireClient::on_response(const Response& response) {
-  const auto it = pending_.find(response.request_id);
-  if (it == pending_.end()) return;  // late duplicate — already resolved
-  if (retry_.enabled && response.status == common::ErrorCode::kUnavailable &&
-      it->second.attempts < retry_.max_attempts) {
-    // Server shed the request (overload NAK, deadline, degradation):
-    // honour its retry_after hint, never wait less than our own backoff.
-    if (it->second.timer != 0) (void)loop_->cancel(it->second.timer);
-    it->second.timer = 0;
-    const auto backoff = retry_backoff(retry_, client_key_,
-                                       response.request_id,
-                                       it->second.attempts);
-    const auto hinted = std::chrono::duration_cast<common::Duration>(
-        std::chrono::milliseconds(response.retry_after_ms));
-    resend(response.request_id, std::max(backoff, hinted));
-    return;
-  }
-  resolve(response.request_id, response);
-}
-
-// ---------------------------------------------------------------------------
 // WireClientPool
 // ---------------------------------------------------------------------------
 
@@ -358,9 +182,10 @@ std::uint64_t WireClientPool::send_request(
   slot.pending_id = request.request_id;
   slot.sent_at = loop_->now();
   if (retry_.enabled) {
-    // Same liveness closure as WireClient: a dropped attempt is still
-    // in flight from the pool's point of view, and the timer resolves
-    // it (resend or kTimeout) so the handler fires exactly once.
+    // Even a dropped first attempt is registered: it is still in flight
+    // from the pool's point of view, and the timer turns the silence
+    // into a resend (or eventually kTimeout), so the handler fires
+    // exactly once.
     slot.deadline_ms = request.deadline_ms;
     slot.attempts = 1;
     arm_timer(client, retry_.timeout);
@@ -451,8 +276,9 @@ void WireClientPool::on_challenge(std::size_t client,
   if (slot.pending_id != challenge.request_id) return;  // stale/unknown
   if (challenge_observer_) challenge_observer_(client, challenge);
 
-  // Identical solve-cost model to WireClient: really solve, charge
-  // attempts × hash_cost to this client's one sequential solver core.
+  // Really solve (correct nonce), but charge the time to the modelled
+  // CPU: attempts × hash_cost on this client's one sequential solver
+  // core.
   const pow::SolveResult solved = solver_.solve(challenge.puzzle);
   ++solved_;
   const auto solve_cost = std::chrono::duration_cast<common::Duration>(
@@ -469,8 +295,9 @@ void WireClientPool::on_challenge(std::size_t client,
   submission.deadline_ms = slot.deadline_ms;  // deadline propagates
   const common::Duration delay = slot.solver_busy_until - loop_->now();
   if (retry_.enabled) {
-    // Restart the attempt clock from the submission's send instant
-    // (solving is local progress — see WireClient::on_challenge).
+    // The attempt clock restarts from the submission's send instant:
+    // solving is local progress, so only submission → response silence
+    // should count against the timeout.
     if (slot.timer != 0) (void)loop_->cancel(slot.timer);
     slot.timer = 0;
     arm_timer(client, delay + retry_.timeout);
@@ -488,6 +315,8 @@ void WireClientPool::on_response(std::size_t client,
   if (slot.pending_id != response.request_id) return;  // stale/unknown
   if (retry_.enabled && response.status == common::ErrorCode::kUnavailable &&
       slot.attempts < retry_.max_attempts) {
+    // Server shed the request (overload NAK, deadline, degradation):
+    // honour its retry_after hint, never wait less than our own backoff.
     if (slot.timer != 0) (void)loop_->cancel(slot.timer);
     slot.timer = 0;
     const auto backoff =

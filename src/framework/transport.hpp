@@ -16,7 +16,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "features/ip_address.hpp"
@@ -90,122 +89,21 @@ class ServerEndpoint final {
 };
 
 /// Client side: drives request → challenge → solve → submission →
-/// response over the wire. Solving is performed with the real solver,
-/// but the *time* it occupies is modelled (attempts × hash_cost)
-/// and scheduled on the event loop, so simulated latencies are
-/// hardware-independent.
-class WireClient final {
- public:
-  /// Invoked with the final response and the request→response latency.
-  using Callback = std::function<void(const Response&, common::Duration)>;
-
-  /// \p loop and \p network must outlive the client. Registers host
-  /// \p ip on construction. \p hash_cost_us is this client's modelled
-  /// per-hash cost.
-  WireClient(netsim::EventLoop& loop, netsim::Network& network, std::string ip,
-             std::string server_host, double hash_cost_us = 38.0);
-
-  WireClient(const WireClient&) = delete;
-  WireClient& operator=(const WireClient&) = delete;
-
-  /// Sends one request; \p done fires when the request resolves.
-  ///
-  /// Without a retry policy (the default): \p done fires when the
-  /// response arrives; returns 0 if the link dropped the request, in
-  /// which case \p done never fires (legacy single-shot mode — pair
-  /// with a timeout in callers that need liveness).
-  ///
-  /// With set_retry_policy({.enabled = true, ...}): \p done fires
-  /// *exactly once* for every send_request, even when the link drops
-  /// every packet — a dropped or unanswered attempt is retried with
-  /// capped exponential backoff and, after max_attempts, resolves with
-  /// a synthetic kTimeout. kUnavailable responses (server shedding) are
-  /// retried internally honouring the retry_after_ms hint. All attempts
-  /// reuse the same request id, so server-side idempotent issuance
-  /// guarantees a retried request is served at most once.
-  std::uint64_t send_request(const std::string& path,
-                             const features::FeatureVector& features,
-                             Callback done);
-
-  /// Installs the retry/timeout/backoff policy (see retry.hpp). Call
-  /// before the first send_request; replacing the policy mid-flight is
-  /// undefined. Requests are stamped with policy.request_deadline.
-  void set_retry_policy(RetryPolicy policy);
-
-  /// Invoked on the loop thread for every challenge this client accepts
-  /// (before solving). History capture hook for the determinism
-  /// harnesses; pass an empty function to clear.
-  using ChallengeObserver = std::function<void(const Challenge&)>;
-  void set_challenge_observer(ChallengeObserver observer) {
-    challenge_observer_ = std::move(observer);
-  }
-
-  [[nodiscard]] const std::string& ip() const { return ip_; }
-
-  /// Challenges answered so far (diagnostics).
-  [[nodiscard]] std::uint64_t challenges_solved() const { return solved_; }
-
- private:
-  struct PendingRequest {
-    Callback done;
-    common::TimePoint sent_at;
-    // Retry state (only populated when a policy is installed): enough
-    // to rebuild the Request verbatim, plus the per-attempt timer.
-    std::string path;
-    features::FeatureVector features;
-    std::int64_t deadline_ms = 0;   ///< propagated on every attempt
-    std::size_t attempts = 1;       ///< sends so far (first included)
-    netsim::EventId timer = 0;      ///< pending timeout/resend event
-  };
-
-  void on_message(const std::string& from, common::BytesView payload);
-  void on_challenge(const Challenge& challenge);
-  void on_response(const Response& response);
-
-  /// Arms the per-attempt timeout for \p request_id, firing on_timeout
-  /// after \p in (the attempt timeout plus any modelled solve delay).
-  void arm_timer(std::uint64_t request_id, common::Duration in);
-
-  /// Timer expiry: resend after backoff, or resolve with kTimeout once
-  /// the attempt budget is spent.
-  void on_timeout(std::uint64_t request_id);
-
-  /// Schedules attempt N+1 after \p wait (backoff / retry_after hint).
-  void resend(std::uint64_t request_id, common::Duration wait);
-
-  /// Fires \p done exactly once and erases the pending entry.
-  void resolve(std::uint64_t request_id, const Response& response);
-
-  netsim::EventLoop* loop_;
-  netsim::Network* network_;
-  std::string ip_;
-  std::string server_host_;
-  double hash_cost_us_;
-  pow::Solver solver_;
-  ChallengeObserver challenge_observer_;
-  RetryPolicy retry_;
-  std::uint64_t client_key_ = 0;  ///< retry_client_key(ip_), cached
-  std::uint64_t next_request_id_ = 1;
-  std::uint64_t solved_ = 0;
-  common::TimePoint solver_busy_until_{};
-  std::unordered_map<std::uint64_t, PendingRequest> pending_;
-};
-
-/// Client side at population scale: one object drives N closed-loop
-/// clients through a single Network::add_host_group registration. Where
-/// a WireClient costs a host-map entry, its own std::function handler,
-/// a pending map, and a solver per client, the pool keeps one 32-byte
-/// slot per client (request counter, in-flight id, timestamps) plus one
-/// shared stateless solver — the structure that lets run_wire_load
-/// model 10^5–10^6 clients.
+/// response over the wire for N clients through a single
+/// Network::add_host_group registration (client i lives at base + i).
+/// Each client is one fixed-size slot (request counter, in-flight id,
+/// timestamps, retry state); one stateless solver is shared by all of
+/// them. That is what lets run_wire_load model 10^5–10^6 clients, and a
+/// pool of one is the single-client case.
 ///
-/// Semantics match WireClient exactly: per-client request ids count
-/// from 1, challenges are really solved but their *time* is modelled
-/// (attempts × hash_cost on one sequential solver core per client), and
-/// the client index is recovered from the transport-level member
-/// address (base + i), so a pooled run is bit-identical to a run over N
-/// individual WireClients. Restriction the closed loop satisfies by
-/// construction: at most one request in flight per client.
+/// Per-client request ids count from 1. Challenges are really solved
+/// (the submitted nonce is correct), but the *time* a solve occupies is
+/// modelled as attempts × hash_cost on one sequential solver core per
+/// client and scheduled on the event loop, so simulated latencies are
+/// hardware-independent. The client index is recovered from the
+/// transport-level member address. Each client has at most one request
+/// in flight; a closed loop satisfies that by construction, and a
+/// caller wanting N concurrent requests uses N clients.
 class WireClientPool final {
  public:
   /// Invoked with the client index, final response, and request→response
@@ -247,11 +145,14 @@ class WireClientPool final {
   }
 
   /// Installs the retry/timeout/backoff policy for every pool client
-  /// (see retry.hpp and WireClient::set_retry_policy — semantics are
-  /// identical: exactly-once resolution, kTimeout after max_attempts,
-  /// internal kUnavailable retries, same-id resends). \p source must be
-  /// non-empty when the policy is enabled; it rebuilds (path, features)
-  /// for resends. Call before the first send_request.
+  /// (see retry.hpp): exactly-once resolution, kTimeout after
+  /// max_attempts, internal kUnavailable retries honouring the server's
+  /// retry_after hint, and same-id resends, so server-side idempotent
+  /// issuance serves a retried request at most once. Requests are
+  /// stamped with policy.request_deadline. \p source must be non-empty
+  /// when the policy is enabled; it rebuilds (path, features) for
+  /// resends. Call before the first send_request; replacing the policy
+  /// mid-flight is undefined.
   void set_retry_policy(RetryPolicy policy, RequestSource source);
 
   /// Sends one request from client \p client. Returns the request id, or
@@ -273,17 +174,17 @@ class WireClientPool final {
   /// Challenges answered so far, across all clients (diagnostics).
   [[nodiscard]] std::uint64_t challenges_solved() const { return solved_; }
 
-  /// Resident footprint: the slot table (the point: ~32 bytes/client
-  /// versus a full WireClient each).
+  /// Resident footprint: the pool object plus its slot table, so a
+  /// client costs sizeof(Slot) whatever the population size.
   [[nodiscard]] std::size_t memory_bytes() const {
     return sizeof(WireClientPool) + slots_.capacity() * sizeof(Slot);
   }
 
  private:
-  /// Compact per-client state — everything WireClient keeps in maps and
-  /// strings, reduced to what one closed-loop client actually needs.
-  /// Retry state rides along as three plain words; request payloads are
-  /// re-derived through the RequestSource instead of being stored.
+  /// Compact per-client state: what one client with at most one request
+  /// in flight needs. Retry state rides along as three plain words;
+  /// request payloads are re-derived through the RequestSource instead
+  /// of being stored.
   struct Slot {
     std::uint64_t next_request_id = 1;
     std::uint64_t pending_id = 0;  ///< 0 = nothing in flight
@@ -299,11 +200,19 @@ class WireClientPool final {
   void on_challenge(std::size_t client, const Challenge& challenge);
   void on_response(std::size_t client, const Response& response);
 
-  /// Retry machinery — mirrors WireClient (see transport.cpp).
+  /// Arms \p client's per-attempt timeout, firing on_timeout after
+  /// \p in (the attempt timeout plus any modelled solve delay).
   void arm_timer(std::size_t client, common::Duration in);
+
+  /// Timer expiry: resend after backoff, or resolve with kTimeout once
+  /// the attempt budget is spent.
   void on_timeout(std::size_t client, std::uint64_t request_id);
+
+  /// Schedules attempt N+1 after \p wait (backoff / retry_after hint).
   void resend(std::size_t client, std::uint64_t request_id,
               common::Duration wait);
+
+  /// Fires the response handler exactly once and frees the slot.
   void resolve(std::size_t client, const Response& response);
 
   netsim::EventLoop* loop_;

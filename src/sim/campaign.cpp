@@ -140,10 +140,10 @@ struct ClientSpec final {
 };
 
 /// A protocol-speaking campaign participant: a closed request loop like
-/// WireClient's, plus the misbehavior seams fault events steer (desert
-/// challenges, replay redeemed proofs, flood undecodable bytes). Every
-/// request's fate lands in exactly one tally bucket, which is what the
-/// conservation invariant balances.
+/// a framework::WireClientPool client's, plus the misbehavior seams
+/// fault events steer (desert challenges, replay redeemed proofs, flood
+/// undecodable bytes). Every request's fate lands in exactly one tally
+/// bucket, which is what the conservation invariant balances.
 class CampaignClient final {
  public:
   CampaignClient(netsim::EventLoop& loop, netsim::Network& network,
@@ -312,7 +312,7 @@ class CampaignClient final {
     }
     // Really solve, but model the time it occupies (attempts × per-hash
     // cost on one sequential solver core) — same device model as
-    // WireClient, so campaign latencies are hardware-independent.
+    // WireClientPool, so campaign latencies are hardware-independent.
     const pow::SolveResult solved = solver_.solve(challenge.puzzle);
     const auto solve_cost = std::chrono::duration_cast<common::Duration>(
         std::chrono::duration<double, std::micro>(
@@ -329,7 +329,7 @@ class CampaignClient final {
     const common::Duration delay = solver_busy_until_ - loop_->now();
     if (spec_.retry.enabled) {
       // Solving is local progress; the attempt clock restarts from the
-      // submission's send instant (same rule as WireClient).
+      // submission's send instant (same rule as WireClientPool).
       cancel_timer(it->second);
       arm_timer(challenge.request_id, delay + spec_.retry.timeout);
     }

@@ -233,9 +233,8 @@ WireLoadReport run_wire_load(const reputation::IReputationModel& model,
   }
 
   // All clients ride one host-group registration + one slot table —
-  // O(1) simulation state per client (the WireClient-per-client shape
-  // tops out long before 10^5). Addresses are identical to the old
-  // shape: load_client_ip(i) == 10.0.0.0 + i, so goldens carry over.
+  // O(1) simulation state per client, which is what reaches 10^5-10^6
+  // clients. Client i lives at load_client_ip(i) == 10.0.0.0 + i.
   framework::WireClientPool pool(loop, network, load_client_ip(0),
                                  cfg.clients, cfg.server_host,
                                  cfg.client_hash_cost_us);

@@ -204,7 +204,7 @@ struct WireLoadConfig final {
   double weight_alpha = 0.0;
   std::uint64_t population_seed = 1;
 
-  /// Modelled per-hash client solve cost (see WireClient).
+  /// Modelled per-hash client solve cost (see WireClientPool).
   double client_hash_cost_us = 38.0;
 
   /// Client retry/timeout/backoff (disabled by default). When enabled

@@ -61,6 +61,18 @@ class AsyncFrontEndTest : public ::testing::Test {
                                                  *server_, *front_end_);
   }
 
+  /// Counts \p clients' kOk answers into \p served and sends one benign
+  /// request from each client.
+  void send_from_each(WireClientPool& clients, int& served) const {
+    clients.set_response_handler(
+        [&served](std::size_t, const Response& r, common::Duration) {
+          if (r.status == common::ErrorCode::kOk) ++served;
+        });
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+      clients.send_request(c, "/", benign_features_);
+    }
+  }
+
   common::Rng rng_;
   common::Rng net_rng_{5};
   netsim::EventLoop loop_;
@@ -75,11 +87,11 @@ class AsyncFrontEndTest : public ::testing::Test {
 
 TEST_F(AsyncFrontEndTest, FullExchangeThroughAsyncPath) {
   build_front_end({});
-  WireClient client(loop_, network_, "10.0.0.1", kServerHost);
+  WireClientPool client(loop_, network_, "10.0.0.1", 1, kServerHost);
   std::optional<Response> got;
-  const std::uint64_t id = client.send_request(
-      "/index", benign_features_,
-      [&](const Response& r, common::Duration) { got = r; });
+  client.set_response_handler(
+      [&](std::size_t, const Response& r, common::Duration) { got = r; });
+  const std::uint64_t id = client.send_request(0, "/index", benign_features_);
   EXPECT_GT(id, 0u);
   front_end_->run_until_idle();
   ASSERT_TRUE(got.has_value());
@@ -100,18 +112,9 @@ TEST_F(AsyncFrontEndTest, SameInstantBurstBecomesOneBatch) {
   AsyncFrontEndConfig cfg;
   cfg.start_paused = true;
   build_front_end(cfg);
-  std::vector<std::unique_ptr<WireClient>> clients;
+  WireClientPool clients(loop_, network_, "10.0.1.1", 6, kServerHost);
   int served = 0;
-  for (int i = 0; i < 6; ++i) {
-    clients.push_back(std::make_unique<WireClient>(
-        loop_, network_, "10.0.1." + std::to_string(i + 1), kServerHost));
-    clients.back()->send_request("/", benign_features_,
-                                 [&](const Response& r, common::Duration) {
-                                   if (r.status == common::ErrorCode::kOk) {
-                                     ++served;
-                                   }
-                                 });
-  }
+  send_from_each(clients, served);
   loop_.run();  // burst lands in the queue while the drain is paused
   EXPECT_EQ(front_end_->queued(), 6u);
   front_end_->run_until_idle();
@@ -124,24 +127,64 @@ TEST_F(AsyncFrontEndTest, MaxBatchCapsOneDispatch) {
   cfg.max_batch = 3;
   cfg.start_paused = true;
   build_front_end(cfg);
-  std::vector<std::unique_ptr<WireClient>> clients;
+  WireClientPool clients(loop_, network_, "10.0.1.1", 8, kServerHost);
   int served = 0;
-  for (int i = 0; i < 8; ++i) {
-    clients.push_back(std::make_unique<WireClient>(
-        loop_, network_, "10.0.1." + std::to_string(i + 1), kServerHost));
-    clients.back()->send_request("/", benign_features_,
-                                 [&](const Response& r, common::Duration) {
-                                   if (r.status == common::ErrorCode::kOk) {
-                                     ++served;
-                                   }
-                                 });
-  }
+  send_from_each(clients, served);
   loop_.run();  // burst lands in the queue while the drain is paused
   front_end_->run_until_idle();
   EXPECT_EQ(served, 8);
   const FrontEndStats fs = front_end_->stats();
   EXPECT_LE(fs.largest_batch, 3u);
   EXPECT_EQ(fs.messages, 16u);  // 8 requests + 8 submissions
+}
+
+TEST_F(AsyncFrontEndTest, EventCountIsIndependentOfBatchBoundaries) {
+  // Two requests queued for one instant reach the server as one batch at
+  // max_batch 64 and as two batches at max_batch 1. How the drain cut
+  // them must not show anywhere: not in run_until_idle()'s event count,
+  // not in the server ledger, not in what the clients get.
+  struct Outcome {
+    std::size_t events = 0;
+    std::size_t largest_batch = 0;
+    ServerStats stats;
+    int served = 0;
+  };
+  const auto run = [&](std::size_t max_batch) {
+    netsim::EventLoop loop;
+    common::Rng net_rng(5);
+    netsim::Network network(loop, net_rng);
+    netsim::LinkModel link;
+    link.base_latency = 15ms;
+    link.jitter = common::Duration::zero();
+    network.set_default_link(link);
+    ServerConfig cfg;
+    cfg.master_secret = common::bytes_of("batch-boundary-secret");
+    PowServer server(loop.clock(), model_, policy_, cfg);
+    AsyncFrontEndConfig fc;
+    fc.max_batch = max_batch;
+    fc.start_paused = true;
+    AsyncFrontEnd front_end(loop, network, kServerHost, server, fc);
+    ServerEndpoint endpoint(network, kServerHost, server, front_end);
+    WireClientPool clients(loop, network, "10.0.7.1", 2, kServerHost);
+
+    Outcome out;
+    send_from_each(clients, out.served);
+    out.events = loop.run();  // both requests queued, drain paused
+    EXPECT_EQ(front_end.queued(), 2u);
+    out.events += front_end.run_until_idle();
+    out.largest_batch = front_end.stats().largest_batch;
+    out.stats = server.stats();
+    return out;
+  };
+
+  const Outcome one = run(1);
+  const Outcome wide = run(64);
+  EXPECT_EQ(one.largest_batch, 1u);
+  EXPECT_EQ(wide.largest_batch, 2u);  // the case really batched
+  EXPECT_EQ(wide.events, one.events);
+  EXPECT_EQ(wide.stats, one.stats);
+  EXPECT_EQ(one.served, 2);
+  EXPECT_EQ(wide.served, one.served);
 }
 
 TEST_F(AsyncFrontEndTest, QueueFullAnswersOverloadExactly) {
@@ -152,21 +195,20 @@ TEST_F(AsyncFrontEndTest, QueueFullAnswersOverloadExactly) {
   cfg.queue_capacity = 2;
   cfg.start_paused = true;
   build_front_end(cfg);
-  std::vector<std::unique_ptr<WireClient>> clients;
+  WireClientPool clients(loop_, network_, "10.0.2.1", 6, kServerHost);
   int served = 0;
   int overloaded = 0;
   int answered = 0;
-  std::vector<int> answers_per_client(6, 0);
-  for (int i = 0; i < 6; ++i) {
-    clients.push_back(std::make_unique<WireClient>(
-        loop_, network_, "10.0.2." + std::to_string(i + 1), kServerHost));
-    clients.back()->send_request(
-        "/", benign_features_, [&, i](const Response& r, common::Duration) {
-          ++answered;
-          ++answers_per_client[static_cast<std::size_t>(i)];
-          if (r.status == common::ErrorCode::kOk) ++served;
-          if (r.status == common::ErrorCode::kUnavailable) ++overloaded;
-        });
+  std::vector<int> answers_per_client(clients.size(), 0);
+  clients.set_response_handler(
+      [&](std::size_t c, const Response& r, common::Duration) {
+        ++answered;
+        ++answers_per_client[c];
+        if (r.status == common::ErrorCode::kOk) ++served;
+        if (r.status == common::ErrorCode::kUnavailable) ++overloaded;
+      });
+  for (std::size_t c = 0; c < clients.size(); ++c) {
+    clients.send_request(c, "/", benign_features_);
   }
   // Deliver the burst while nothing drains: the overload NAKs are
   // already en route before the front end ever runs.
@@ -195,17 +237,16 @@ TEST_F(AsyncFrontEndTest, DrainAfterBurstLosesAndDuplicatesNothing) {
   cfg.start_paused = true;
   build_front_end(cfg);
   constexpr int kClients = 12;
-  std::vector<std::unique_ptr<WireClient>> clients;
+  WireClientPool clients(loop_, network_, "10.0.3.1", kClients, kServerHost);
   std::vector<int> answers_per_client(kClients, 0);
   int served = 0;
-  for (int i = 0; i < kClients; ++i) {
-    clients.push_back(std::make_unique<WireClient>(
-        loop_, network_, "10.0.3." + std::to_string(i + 1), kServerHost));
-    clients.back()->send_request(
-        "/", benign_features_, [&, i](const Response& r, common::Duration) {
-          ++answers_per_client[static_cast<std::size_t>(i)];
-          if (r.status == common::ErrorCode::kOk) ++served;
-        });
+  clients.set_response_handler(
+      [&](std::size_t c, const Response& r, common::Duration) {
+        ++answers_per_client[c];
+        if (r.status == common::ErrorCode::kOk) ++served;
+      });
+  for (std::size_t c = 0; c < clients.size(); ++c) {
+    clients.send_request(c, "/", benign_features_);
   }
   loop_.run();  // burst queued, nothing processed yet
   EXPECT_EQ(front_end_->queued(), static_cast<std::size_t>(kClients));
@@ -461,17 +502,16 @@ TEST_F(AsyncFrontEndTest, ExpiredSubmissionsUnderShardedDrainCountExactly) {
 
   constexpr int kClients = 6;
   const ServerStats before = server_->stats();
-  std::vector<std::unique_ptr<WireClient>> clients;
+  WireClientPool clients(loop_, network_, "10.0.6.1", kClients, kServerHost);
   std::vector<int> answers(kClients, 0);
   int expired = 0;
-  for (int i = 0; i < kClients; ++i) {
-    clients.push_back(std::make_unique<WireClient>(
-        loop_, network_, "10.0.6." + std::to_string(i + 1), kServerHost));
-    clients.back()->send_request(
-        "/", benign_features_, [&, i](const Response& r, common::Duration) {
-          ++answers[static_cast<std::size_t>(i)];
-          if (r.status == common::ErrorCode::kExpired) ++expired;
-        });
+  clients.set_response_handler(
+      [&](std::size_t c, const Response& r, common::Duration) {
+        ++answers[c];
+        if (r.status == common::ErrorCode::kExpired) ++expired;
+      });
+  for (std::size_t c = 0; c < clients.size(); ++c) {
+    clients.send_request(c, "/", benign_features_);
   }
   front_end_->run_until_idle();
 
@@ -500,12 +540,9 @@ TEST_F(AsyncFrontEndTest, MalformedCountReadableWhileServing) {
                           common::bytes_of("garbage"));
     });
   }
-  WireClient client(loop_, network_, "10.0.4.1", kServerHost);
+  WireClientPool client(loop_, network_, "10.0.4.1", 1, kServerHost);
   int served = 0;
-  client.send_request("/", benign_features_,
-                      [&](const Response& r, common::Duration) {
-                        if (r.status == common::ErrorCode::kOk) ++served;
-                      });
+  send_from_each(client, served);
 
   std::atomic<bool> done{false};
   std::uint64_t observed = 0;

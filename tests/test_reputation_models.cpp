@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "features/synthetic.hpp"
@@ -38,17 +39,25 @@ Dataset make_data(std::size_t benign, std::size_t malicious,
 
 using ModelFactory = std::function<std::unique_ptr<IReputationModel>()>;
 
-class ModelContractTest : public ::testing::TestWithParam<
-                              std::pair<const char*, ModelFactory>> {};
+struct ModelCase {
+  const char* name;
+  ModelFactory make;
+
+  // gtest would otherwise print the pointer and the std::function's bytes,
+  // which put a load address into every discovered CTest name.
+  friend void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
+};
+
+class ModelContractTest : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(ModelContractTest, ScoreThrowsBeforeFit) {
-  const auto model = GetParam().second();
+  const auto model = GetParam().make();
   EXPECT_FALSE(model->fitted());
   EXPECT_THROW((void)model->score(FeatureVector{}), std::logic_error);
 }
 
 TEST_P(ModelContractTest, FitRequiresBothClasses) {
-  const auto model = GetParam().second();
+  const auto model = GetParam().make();
   SyntheticTraceGenerator gen;
   common::Rng rng(2);
   Dataset only_benign = gen.generate(20, 0, rng);
@@ -58,7 +67,7 @@ TEST_P(ModelContractTest, FitRequiresBothClasses) {
 }
 
 TEST_P(ModelContractTest, ScoresStayInRange) {
-  const auto model = GetParam().second();
+  const auto model = GetParam().make();
   model->fit(make_data(200, 200));
   SyntheticTraceGenerator gen;
   common::Rng rng(3);
@@ -71,17 +80,17 @@ TEST_P(ModelContractTest, ScoresStayInRange) {
 
 TEST_P(ModelContractTest, SeparatesWellSeparatedClasses) {
   // With zero overlap any sane model should be near-perfect.
-  const auto model = GetParam().second();
+  const auto model = GetParam().make();
   model->fit(make_data(300, 300, /*overlap=*/0.0));
   const Dataset test = make_data(200, 200, /*overlap=*/0.0, /*seed=*/99);
   const EvaluationReport report = evaluate(*model, test);
-  EXPECT_GT(report.accuracy, 0.95) << GetParam().first << ": "
+  EXPECT_GT(report.accuracy, 0.95) << GetParam().name << ": "
                                    << report.to_string();
   EXPECT_GT(report.roc_auc, 0.98);
 }
 
 TEST_P(ModelContractTest, MaliciousScoreHigherOnAverage) {
-  const auto model = GetParam().second();
+  const auto model = GetParam().make();
   model->fit(make_data(300, 300));
   SyntheticTraceGenerator gen;
   common::Rng rng(7);
@@ -92,11 +101,11 @@ TEST_P(ModelContractTest, MaliciousScoreHigherOnAverage) {
     benign_sum += model->score(gen.sample(false, rng));
     malicious_sum += model->score(gen.sample(true, rng));
   }
-  EXPECT_GT(malicious_sum / n, benign_sum / n + 1.0) << GetParam().first;
+  EXPECT_GT(malicious_sum / n, benign_sum / n + 1.0) << GetParam().name;
 }
 
 TEST_P(ModelContractTest, EpsilonIsPositiveAndModest) {
-  const auto model = GetParam().second();
+  const auto model = GetParam().make();
   model->fit(make_data(300, 300));
   EXPECT_GT(model->error_epsilon(), 0.0);
   // ε is a score-spread: it cannot exceed half the scale in practice.
@@ -107,15 +116,12 @@ TEST_P(ModelContractTest, EpsilonIsPositiveAndModest) {
 INSTANTIATE_TEST_SUITE_P(
     AllModels, ModelContractTest,
     ::testing::Values(
-        std::pair<const char*, ModelFactory>{
-            "dabr", [] { return std::make_unique<DabrModel>(); }},
-        std::pair<const char*, ModelFactory>{
-            "knn", [] { return std::make_unique<KnnModel>(); }},
-        std::pair<const char*, ModelFactory>{
-            "logistic", [] { return std::make_unique<LogisticModel>(); }},
-        std::pair<const char*, ModelFactory>{
-            "naive_bayes", [] { return std::make_unique<NaiveBayesModel>(); }}),
-    [](const auto& info) { return std::string(info.param.first); });
+        ModelCase{"dabr", [] { return std::make_unique<DabrModel>(); }},
+        ModelCase{"knn", [] { return std::make_unique<KnnModel>(); }},
+        ModelCase{"logistic", [] { return std::make_unique<LogisticModel>(); }},
+        ModelCase{"naive_bayes",
+                  [] { return std::make_unique<NaiveBayesModel>(); }}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // ---------------------------------------------------------------------------
 // DAbR specifics.

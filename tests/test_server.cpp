@@ -267,10 +267,14 @@ TEST_F(ServerTest, PerCallTraceMatchesIssuedChallenge) {
   ASSERT_TRUE(std::holds_alternative<Challenge>(outcome));
   EXPECT_EQ(trace.difficulty, std::get<Challenge>(outcome).puzzle.difficulty);
   EXPECT_FALSE(trace.from_cache);
-  // The member trace mirrors the per-call one in single-threaded use.
-  const ScoringTrace last = server.last_trace();
-  EXPECT_DOUBLE_EQ(last.score, trace.score);
-  EXPECT_EQ(last.difficulty, trace.difficulty);
+  // With the cache off, scoring the same client again traces the same
+  // decision.
+  ScoringTrace again;
+  outcome = server.on_request(client.make_request("/", benign_features_),
+                              &again);
+  ASSERT_TRUE(std::holds_alternative<Challenge>(outcome));
+  EXPECT_DOUBLE_EQ(again.score, trace.score);
+  EXPECT_EQ(again.difficulty, trace.difficulty);
 }
 
 TEST_F(ServerTest, RequestBatchMatchesPerIndexOutcomes) {
@@ -310,10 +314,12 @@ TEST_F(ServerTest, RequestBatchMatchesPerIndexOutcomes) {
 TEST_F(ServerTest, ReputationCacheServesRepeatClients) {
   PowServer server(clock_, model_, policy_, base_config());
   PowClient client("10.0.0.1");
-  (void)server.on_request(client.make_request("/", benign_features_));
-  EXPECT_FALSE(server.last_trace().from_cache);
-  (void)server.on_request(client.make_request("/", benign_features_));
-  EXPECT_TRUE(server.last_trace().from_cache);
+  ScoringTrace first;
+  ScoringTrace second;
+  (void)server.on_request(client.make_request("/", benign_features_), &first);
+  EXPECT_FALSE(first.from_cache);
+  (void)server.on_request(client.make_request("/", benign_features_), &second);
+  EXPECT_TRUE(second.from_cache);
 }
 
 TEST_F(ServerTest, CacheDisabledScoresEveryTime) {
@@ -321,9 +327,10 @@ TEST_F(ServerTest, CacheDisabledScoresEveryTime) {
   cfg.reputation_cache_enabled = false;
   PowServer server(clock_, model_, policy_, cfg);
   PowClient client("10.0.0.1");
+  ScoringTrace second;
   (void)server.on_request(client.make_request("/", benign_features_));
-  (void)server.on_request(client.make_request("/", benign_features_));
-  EXPECT_FALSE(server.last_trace().from_cache);
+  (void)server.on_request(client.make_request("/", benign_features_), &second);
+  EXPECT_FALSE(second.from_cache);
 }
 
 TEST_F(ServerTest, RateLimiterBoundsChallengeIssuance) {

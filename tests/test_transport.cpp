@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -50,15 +49,15 @@ class TransportTest : public ::testing::Test {
 };
 
 TEST_F(TransportTest, FullExchangeOverTheWire) {
-  WireClient client(loop_, network_, "10.0.0.1", kServerHost);
+  WireClientPool client(loop_, network_, "10.0.0.1", 1, kServerHost);
   std::optional<Response> got;
   common::Duration latency{};
-  const std::uint64_t id =
-      client.send_request("/index", benign_features_, [&](const Response& r,
-                                                          common::Duration d) {
+  client.set_response_handler(
+      [&](std::size_t, const Response& r, common::Duration d) {
         got = r;
         latency = d;
       });
+  const std::uint64_t id = client.send_request(0, "/index", benign_features_);
   EXPECT_GT(id, 0u);
   loop_.run();
   ASSERT_TRUE(got.has_value());
@@ -73,21 +72,23 @@ TEST_F(TransportTest, FullExchangeOverTheWire) {
 
 TEST_F(TransportTest, LatencyIncludesModelledSolveTime) {
   // Malicious features → higher difficulty → more attempts × 38 µs.
-  WireClient good(loop_, network_, "10.0.0.1", kServerHost);
-  WireClient bad(loop_, network_, "203.0.0.1", kServerHost);
+  WireClientPool good(loop_, network_, "10.0.0.1", 1, kServerHost);
+  WireClientPool bad(loop_, network_, "203.0.0.1", 1, kServerHost);
   common::Duration good_latency{};
   common::Duration bad_latency{};
   int done = 0;
-  good.send_request("/", benign_features_,
-                    [&](const Response&, common::Duration d) {
-                      good_latency = d;
-                      ++done;
-                    });
-  bad.send_request("/", malicious_features_,
-                   [&](const Response&, common::Duration d) {
-                     bad_latency = d;
-                     ++done;
-                   });
+  good.set_response_handler(
+      [&](std::size_t, const Response&, common::Duration d) {
+        good_latency = d;
+        ++done;
+      });
+  bad.set_response_handler(
+      [&](std::size_t, const Response&, common::Duration d) {
+        bad_latency = d;
+        ++done;
+      });
+  good.send_request(0, "/", benign_features_);
+  bad.send_request(0, "/", malicious_features_);
   loop_.run();
   ASSERT_EQ(done, 2);
   EXPECT_GT(bad_latency, good_latency);
@@ -97,10 +98,11 @@ TEST_F(TransportTest, ServerTrustsTransportSourceOverClaimedIp) {
   // The wire client self-reports its registered IP, but the endpoint
   // overrides with the transport-level source; a puzzle is therefore
   // bound to the true source and the exchange still succeeds end-to-end.
-  WireClient client(loop_, network_, "10.0.0.9", kServerHost);
+  WireClientPool client(loop_, network_, "10.0.0.9", 1, kServerHost);
   std::optional<Response> got;
-  client.send_request("/", benign_features_,
-                      [&](const Response& r, common::Duration) { got = r; });
+  client.set_response_handler(
+      [&](std::size_t, const Response& r, common::Duration) { got = r; });
+  client.send_request(0, "/", benign_features_);
   loop_.run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->status, common::ErrorCode::kOk);
@@ -131,18 +133,14 @@ TEST_F(TransportTest, UnexpectedMessageTypeCountsAsMalformed) {
 
 TEST_F(TransportTest, ManyClientsConcurrently) {
   const features::SyntheticTraceGenerator gen;
-  std::vector<std::unique_ptr<WireClient>> clients;
+  WireClientPool clients(loop_, network_, "10.0.1.1", 12, kServerHost);
   int served = 0;
-  for (int i = 0; i < 12; ++i) {
-    const std::string ip = "10.0.1." + std::to_string(i + 1);
-    clients.push_back(
-        std::make_unique<WireClient>(loop_, network_, ip, kServerHost));
-  }
-  for (auto& c : clients) {
-    c->send_request("/", gen.sample(false, rng_),
-                    [&](const Response& r, common::Duration) {
-                      if (r.status == common::ErrorCode::kOk) ++served;
-                    });
+  clients.set_response_handler(
+      [&](std::size_t, const Response& r, common::Duration) {
+        if (r.status == common::ErrorCode::kOk) ++served;
+      });
+  for (std::size_t c = 0; c < clients.size(); ++c) {
+    clients.send_request(c, "/", gen.sample(false, rng_));
   }
   loop_.run();
   EXPECT_EQ(served, 12);
@@ -150,13 +148,14 @@ TEST_F(TransportTest, ManyClientsConcurrently) {
 }
 
 TEST_F(TransportTest, SequentialRequestsReuseClient) {
-  WireClient client(loop_, network_, "10.0.0.4", kServerHost);
+  WireClientPool client(loop_, network_, "10.0.0.4", 1, kServerHost);
   int served = 0;
-  for (int i = 0; i < 3; ++i) {
-    client.send_request("/", benign_features_,
-                        [&](const Response& r, common::Duration) {
-                          if (r.status == common::ErrorCode::kOk) ++served;
-                        });
+  client.set_response_handler(
+      [&](std::size_t, const Response& r, common::Duration) {
+        if (r.status == common::ErrorCode::kOk) ++served;
+      });
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    EXPECT_EQ(client.send_request(0, "/", benign_features_), i);
     loop_.run();
   }
   EXPECT_EQ(served, 3);
@@ -166,15 +165,18 @@ TEST_F(TransportTest, SequentialRequestsReuseClient) {
 TEST_F(TransportTest, DroppedRequestReturnsZeroId) {
   netsim::LinkModel black_hole;
   black_hole.loss_rate = 1.0;
-  WireClient client(loop_, network_, "10.0.0.5", kServerHost);
+  WireClientPool client(loop_, network_, "10.0.0.5", 1, kServerHost);
   network_.set_link("10.0.0.5", kServerHost, black_hole);
   bool fired = false;
-  const std::uint64_t id = client.send_request(
-      "/", benign_features_,
-      [&](const Response&, common::Duration) { fired = true; });
+  client.set_response_handler(
+      [&](std::size_t, const Response&, common::Duration) { fired = true; });
+  const std::uint64_t id = client.send_request(0, "/", benign_features_);
   EXPECT_EQ(id, 0u);
   loop_.run();
   EXPECT_FALSE(fired);
+  // A dropped single-shot send leaves nothing in flight, so the client
+  // may send again at once.
+  EXPECT_EQ(client.send_request(0, "/", benign_features_), 0u);
 }
 
 TEST_F(TransportTest, RetryPolicyClosesTheDroppedSendLivenessHole) {
@@ -184,7 +186,7 @@ TEST_F(TransportTest, RetryPolicyClosesTheDroppedSendLivenessHole) {
   // real id and exactly one synthetic kTimeout after max_attempts.
   netsim::LinkModel black_hole;
   black_hole.loss_rate = 1.0;
-  WireClient client(loop_, network_, "10.0.2.1", kServerHost);
+  WireClientPool client(loop_, network_, "10.0.2.1", 1, kServerHost);
   network_.set_link("10.0.2.1", kServerHost, black_hole);
 
   RetryPolicy policy;
@@ -193,15 +195,18 @@ TEST_F(TransportTest, RetryPolicyClosesTheDroppedSendLivenessHole) {
   policy.max_attempts = 3;
   policy.backoff_base = 50ms;
   policy.jitter_frac = 0.0;
-  client.set_retry_policy(policy);
+  client.set_retry_policy(policy, [this](std::size_t) {
+    return std::make_pair(std::string("/"), benign_features_);
+  });
 
   int fired = 0;
   std::optional<Response> got;
-  const std::uint64_t id = client.send_request(
-      "/", benign_features_, [&](const Response& r, common::Duration) {
+  client.set_response_handler(
+      [&](std::size_t, const Response& r, common::Duration) {
         got = r;
         ++fired;
       });
+  const std::uint64_t id = client.send_request(0, "/", benign_features_);
   EXPECT_GT(id, 0u);
   loop_.run();
   EXPECT_EQ(fired, 1);
@@ -215,12 +220,16 @@ TEST_F(TransportTest, RetriesResolveEveryRequestOverALossyLink) {
   // resolve exactly once, and all attempts of one request must draw a
   // challenge with the same stable puzzle id — the keyed derivation
   // that lets the replay cache catch a re-submission, so a retried
-  // request can never be double-served.
+  // request can never be double-served. Eight clients keep eight
+  // requests in flight at once.
+  constexpr std::size_t kRequests = 8;
+  WireClientPool clients(loop_, network_, "10.0.2.2", kRequests, kServerHost);
   netsim::LinkModel lossy;
   lossy.loss_rate = 0.25;
-  WireClient client(loop_, network_, "10.0.2.2", kServerHost);
-  network_.set_link("10.0.2.2", kServerHost, lossy);
-  network_.set_link(kServerHost, "10.0.2.2", lossy);
+  for (std::size_t c = 0; c < kRequests; ++c) {
+    network_.set_link(clients.ip_of(c), kServerHost, lossy);
+    network_.set_link(kServerHost, clients.ip_of(c), lossy);
+  }
 
   RetryPolicy policy;
   policy.enabled = true;
@@ -228,38 +237,42 @@ TEST_F(TransportTest, RetriesResolveEveryRequestOverALossyLink) {
   policy.max_attempts = 6;
   policy.backoff_base = 20ms;
   policy.jitter_seed = 3;
-  client.set_retry_policy(policy);
+  clients.set_retry_policy(policy, [this](std::size_t) {
+    return std::make_pair(std::string("/"), benign_features_);
+  });
 
-  std::map<std::uint64_t, std::uint64_t> first_challenge;
-  client.set_challenge_observer([&](const Challenge& c) {
-    const auto [it, fresh] =
-        first_challenge.emplace(c.request_id, c.puzzle.puzzle_id);
-    if (!fresh) {
-      EXPECT_EQ(it->second, c.puzzle.puzzle_id)
+  std::vector<std::optional<std::uint64_t>> first_challenge(kRequests);
+  clients.set_challenge_observer([&](std::size_t c, const Challenge& ch) {
+    if (!first_challenge[c]) {
+      first_challenge[c] = ch.puzzle.puzzle_id;
+    } else {
+      EXPECT_EQ(*first_challenge[c], ch.puzzle.puzzle_id)
           << "retry drew a different puzzle identity";
     }
   });
 
-  constexpr int kRequests = 8;
-  int resolved = 0;
+  std::vector<int> resolved(kRequests, 0);
   int ok = 0;
-  for (int i = 0; i < kRequests; ++i) {
-    const std::uint64_t id = client.send_request(
-        "/", benign_features_, [&](const Response& r, common::Duration) {
-          ++resolved;
-          if (r.status == common::ErrorCode::kOk) ++ok;
-          // kReplay is the double-serve guard doing its job: the first
-          // attempt was served but its response got dropped, and the
-          // retried submission is refused instead of served again.
-          EXPECT_TRUE(r.status == common::ErrorCode::kOk ||
-                      r.status == common::ErrorCode::kTimeout ||
-                      r.status == common::ErrorCode::kReplay)
-              << static_cast<int>(r.status);
-        });
-    EXPECT_GT(id, 0u);
+  clients.set_response_handler(
+      [&](std::size_t c, const Response& r, common::Duration) {
+        ++resolved[c];
+        if (r.status == common::ErrorCode::kOk) ++ok;
+        // kReplay is the double-serve guard doing its job: the first
+        // attempt was served but its response got dropped, and the
+        // retried submission is refused instead of served again.
+        EXPECT_TRUE(r.status == common::ErrorCode::kOk ||
+                    r.status == common::ErrorCode::kTimeout ||
+                    r.status == common::ErrorCode::kReplay)
+            << static_cast<int>(r.status);
+      });
+  for (std::size_t c = 0; c < kRequests; ++c) {
+    EXPECT_GT(clients.send_request(c, "/", benign_features_), 0u);
   }
   loop_.run();
-  EXPECT_EQ(resolved, kRequests);  // liveness: nothing hangs, ever
+  // Liveness: nothing hangs, ever, and nothing resolves twice.
+  for (std::size_t c = 0; c < kRequests; ++c) {
+    EXPECT_EQ(resolved[c], 1) << "client " << c;
+  }
   // With 25% per-leg loss and 6 attempts the odds of all eight timing
   // out are negligible; a zero here means retries are not resending.
   EXPECT_GT(ok, 0);
@@ -267,9 +280,9 @@ TEST_F(TransportTest, RetriesResolveEveryRequestOverALossyLink) {
 }
 
 TEST_F(TransportTest, PooledClientsRetryOverALossyLinkToo) {
-  // Same liveness contract through the O(1)-per-client pool: the
-  // response handler fires exactly once per send even when the default
-  // link for the whole group is lossy.
+  // Same liveness contract when the loss comes from the default link
+  // the whole group shares rather than from per-client links: the
+  // response handler fires exactly once per send.
   netsim::LinkModel lossy;
   lossy.loss_rate = 0.2;
   network_.set_default_link(lossy);
@@ -309,10 +322,11 @@ TEST_F(TransportTest, PowDisabledServerAnswersDirectly) {
   PowServer baseline(loop_.clock(), model_, policy_, cfg);
   ServerEndpoint baseline_endpoint(network_, "198.51.100.251", baseline);
 
-  WireClient client(loop_, network_, "10.0.0.6", "198.51.100.251");
+  WireClientPool client(loop_, network_, "10.0.0.6", 1, "198.51.100.251");
   std::optional<Response> got;
-  client.send_request("/", benign_features_,
-                      [&](const Response& r, common::Duration) { got = r; });
+  client.set_response_handler(
+      [&](std::size_t, const Response& r, common::Duration) { got = r; });
+  client.send_request(0, "/", benign_features_);
   loop_.run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->status, common::ErrorCode::kOk);
