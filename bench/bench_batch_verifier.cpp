@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<pow::Puzzle, pow::Solution>> solved;
   solved.reserve(batch_size);
   for (std::size_t i = 0; i < batch_size; ++i) {
-    const pow::Puzzle p = generator.issue("198.51.100.7", difficulty);
+    const pow::Puzzle p = generator.issue_for("198.51.100.7", i, difficulty);
     const pow::SolveResult r = solver.solve(p);
     if (!r.found) {
       std::fprintf(stderr, "solver failed unexpectedly\n");

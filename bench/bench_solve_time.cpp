@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
 
+  std::uint64_t key = 0;  // one puzzle identity per trial
   for (unsigned d = 1; d <= max_d; ++d) {
     common::Samples wall_ms;
     common::Samples modeled_ms;
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
     double total_s = 0.0;
     double total_attempts = 0.0;
     for (int t = 0; t < trials; ++t) {
-      const pow::Puzzle puzzle = generator.issue("198.51.100.1", d);
+      const pow::Puzzle puzzle = generator.issue_for("198.51.100.1", ++key, d);
       const auto t0 = std::chrono::steady_clock::now();
       const pow::SolveResult r = solver.solve(puzzle);
       const auto t1 = std::chrono::steady_clock::now();
@@ -138,7 +139,7 @@ int main(int argc, char** argv) {
     // Difficulty 40 is unsolvable within any benchmark run, so every
     // probe costs exactly one finish and the scan never terminates
     // early — pure throughput, no luck.
-    const pow::Puzzle hard = generator.issue("198.51.100.1", 40);
+    const pow::Puzzle hard = generator.issue_for("198.51.100.1", ++key, 40);
     const pow::PuzzleContext context(hard);
 
     // Calibrate each case to a ~100 ms run, then report probes/sec.

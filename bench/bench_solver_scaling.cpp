@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
   // Same puzzle set for every thread count, so the comparison is paired.
   std::vector<pow::Puzzle> puzzles;
   for (int t = 0; t < trials; ++t) {
-    puzzles.push_back(generator.issue("198.51.100.3", d));
+    puzzles.push_back(
+        generator.issue_for("198.51.100.3", static_cast<std::uint64_t>(t), d));
   }
 
   common::Table table({"threads", "mean_ms", "median_ms", "speedup"});

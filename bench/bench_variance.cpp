@@ -29,12 +29,14 @@ int main(int argc, char** argv) {
                        "median_attempts", "p90_attempts", "stddev/mean",
                        "theory_stddev/mean"});
 
+  std::uint64_t key = 0;  // one puzzle identity per trial
   for (unsigned fanout : {1u, 2u, 4u, 8u, 16u}) {
     if (static_cast<unsigned>(std::log2(fanout)) >= d) break;
     common::Samples attempts;
     for (int t = 0; t < trials; ++t) {
       const pow::MultiPuzzle m =
-          pow::split_puzzle(generator.issue("198.51.100.4", d), fanout);
+          pow::split_puzzle(generator.issue_for("198.51.100.4", ++key, d),
+                            fanout);
       const pow::MultiSolveResult r = pow::solve_multi(m);
       if (!r.found) {
         std::fprintf(stderr, "unexpected unsolved multi-puzzle\n");

@@ -32,11 +32,12 @@ int main(int argc, char** argv) {
   common::Table table({"difficulty", "solve_ms_mean", "verify_us_mean",
                        "solve/verify"});
 
+  std::uint64_t key = 0;  // one puzzle identity per trial
   for (unsigned d = 2; d <= max_d; d += 2) {
     common::Samples solve_ms;
     common::Samples verify_us;
     for (int t = 0; t < trials; ++t) {
-      const pow::Puzzle puzzle = generator.issue("198.51.100.2", d);
+      const pow::Puzzle puzzle = generator.issue_for("198.51.100.2", ++key, d);
       const auto s0 = std::chrono::steady_clock::now();
       const pow::SolveResult r = solver.solve(puzzle);
       const auto s1 = std::chrono::steady_clock::now();

@@ -28,7 +28,10 @@ int main() {
   pow::PuzzleGenerator issuer(clock, secret);
   pow::Verifier verifier(clock, secret);
 
-  const pow::Puzzle puzzle = issuer.issue("192.0.2.1", /*difficulty=*/12);
+  // Request key 1: the client's request id; re-issuing for the same
+  // (ip, key) returns the same puzzle.
+  const pow::Puzzle puzzle =
+      issuer.issue_for("192.0.2.1", /*request_key=*/1, /*difficulty=*/12);
   std::printf("issued puzzle id=%llu difficulty=%u seed=%s...\n",
               static_cast<unsigned long long>(puzzle.puzzle_id),
               puzzle.difficulty, common::to_hex(puzzle.seed).substr(0, 16).c_str());

@@ -86,53 +86,4 @@ double Samples::quantile(double q) const {
   return sorted[lo_idx] + frac * (sorted[hi_idx] - sorted[lo_idx]);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bin_width_((hi - lo) / static_cast<double>(bins)) {
-  if (bins == 0) throw std::invalid_argument("Histogram: bins == 0");
-  if (!(lo < hi)) throw std::invalid_argument("Histogram: lo >= hi");
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / bin_width_);
-  // Guard against floating-point edge cases at the upper boundary.
-  idx = std::min(idx, counts_.size() - 1);
-  ++counts_[idx];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + static_cast<double>(i) * bin_width_;
-}
-
-std::string Histogram::to_ascii(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (std::uint64_t c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        static_cast<std::size_t>(static_cast<double>(counts_[i]) /
-                                 static_cast<double>(peak) *
-                                 static_cast<double>(width));
-    char line[64];
-    std::snprintf(line, sizeof line, "%10.2f | ", bin_lo(i));
-    out += line;
-    out.append(bar, '#');
-    out += "  ";
-    out += std::to_string(counts_[i]);
-    out += '\n';
-  }
-  if (underflow_ > 0) out += "underflow: " + std::to_string(underflow_) + '\n';
-  if (overflow_ > 0) out += "overflow: " + std::to_string(overflow_) + '\n';
-  return out;
-}
-
 }  // namespace powai::common

@@ -1,8 +1,9 @@
 #pragma once
 /// \file stats.hpp
 /// Statistics used by the evaluation harness: Welford running moments,
-/// exact sample-based quantiles (the paper reports *medians* of 30
-/// trials), and a fixed-bin histogram for latency distributions.
+/// and exact sample-based quantiles (the paper reports *medians* of 30
+/// trials). Bounded-memory latency quantiles live in
+/// framework::SojournHistogram.
 
 #include <cstddef>
 #include <cstdint>
@@ -59,37 +60,6 @@ class Samples final {
 
  private:
   std::vector<double> xs_;
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples land in
-/// saturating underflow/overflow bins so no sample is silently dropped.
-class Histogram final {
- public:
-  /// \p bins >= 1, \p lo < \p hi (else throws std::invalid_argument).
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  /// Lower edge of bin \p i.
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-
-  /// Multi-line ASCII rendering (for example programs and logs).
-  [[nodiscard]] std::string to_ascii(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bin_width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace powai::common

@@ -239,14 +239,18 @@ void WireClientPool::resend(std::size_t client, std::uint64_t request_id,
   });
 }
 
-void WireClientPool::resolve(std::size_t client, const Response& response) {
-  Slot& slot = slots_[client];
-  if (slot.pending_id != response.request_id) return;
+void WireClientPool::abandon(std::size_t client) {
+  Slot& slot = slots_.at(client);
   if (slot.timer != 0) (void)loop_->cancel(slot.timer);
   slot.timer = 0;
   slot.pending_id = 0;
   slot.attempts = 0;
-  done_(client, response, loop_->now() - slot.sent_at);
+}
+
+void WireClientPool::resolve(std::size_t client, const Response& response) {
+  const common::Duration latency = loop_->now() - slots_[client].sent_at;
+  abandon(client);
+  done_(client, response, latency);
 }
 
 void WireClientPool::on_message(const std::string& member,
@@ -274,7 +278,10 @@ void WireClientPool::on_challenge(std::size_t client,
                                   const Challenge& challenge) {
   Slot& slot = slots_[client];
   if (slot.pending_id != challenge.request_id) return;  // stale/unknown
-  if (challenge_observer_) challenge_observer_(client, challenge);
+  if (challenge_observer_) {
+    challenge_observer_(client, challenge);
+    if (slot.pending_id != challenge.request_id) return;  // abandoned
+  }
 
   // Really solve (correct nonce), but charge the time to the modelled
   // CPU: attempts × hash_cost on this client's one sequential solver
@@ -304,15 +311,23 @@ void WireClientPool::on_challenge(std::size_t client,
   }
   loop_->schedule_in(
       delay, [this, client, submission = std::move(submission)] {
-        (void)network_->send(ip_of(client), server_host_,
-                             submission.serialize());
+        const bool sent = network_->send(ip_of(client), server_host_,
+                                         submission.serialize());
+        if (submission_observer_) {
+          submission_observer_(client, submission, sent);
+        }
       });
 }
 
 void WireClientPool::on_response(std::size_t client,
                                  const Response& response) {
   Slot& slot = slots_[client];
-  if (slot.pending_id != response.request_id) return;  // stale/unknown
+  // Ids count from 1, so an id-0 NAK (undecodable bytes) is always stray,
+  // even for an idle client.
+  if (slot.pending_id == 0 || slot.pending_id != response.request_id) {
+    if (stray_observer_) stray_observer_(client, response);
+    return;
+  }
   if (retry_.enabled && response.status == common::ErrorCode::kUnavailable &&
       slot.attempts < retry_.max_attempts) {
     // Server shed the request (overload NAK, deadline, degradation):

@@ -91,6 +91,9 @@ class ServerEndpoint final {
 /// Client side: drives request → challenge → solve → submission →
 /// response over the wire for N clients through a single
 /// Network::add_host_group registration (client i lives at base + i).
+/// This is the framework's only client state machine: the wire benches,
+/// the examples and the fault-injection campaigns all run their clients
+/// on it, so retry, timeout and backoff rules live here once.
 /// Each client is one fixed-size slot (request counter, in-flight id,
 /// timestamps, retry state); one stateless solver is shared by all of
 /// them. That is what lets run_wire_load model 10^5–10^6 clients, and a
@@ -104,6 +107,17 @@ class ServerEndpoint final {
 /// transport-level member address. Each client has at most one request
 /// in flight; a closed loop satisfies that by construction, and a
 /// caller wanting N concurrent requests uses N clients.
+///
+/// Three seams let a harness steer or watch clients without a second
+/// state machine; each costs one null check when unset:
+/// - abandon(): drop the in-flight request unresolved (a client that
+///   takes a challenge and never submits);
+/// - the submission observer: sees every submission as it goes to the
+///   network, and whether the link took it;
+/// - the stray-response observer: sees responses that do not answer the
+///   request in flight (answers to replayed or already-settled
+///   submissions, NAKs for undecodable bytes), which the response
+///   handler never receives.
 class WireClientPool final {
  public:
   /// Invoked with the client index, final response, and request→response
@@ -117,11 +131,23 @@ class WireClientPool final {
   using ChallengeObserver =
       std::function<void(std::size_t client, const Challenge& challenge)>;
 
+  /// Invoked on the loop thread when a modelled solve ends and its
+  /// submission is handed to the network; \p sent is false when the
+  /// link dropped it.
+  using SubmissionObserver = std::function<void(
+      std::size_t client, const Submission& submission, bool sent)>;
+
+  /// Invoked on the loop thread for a response whose request id is not
+  /// the one \p client has in flight.
+  using StrayObserver =
+      std::function<void(std::size_t client, const Response& response)>;
+
   /// Re-derives (path, features) for a client's resend. The pool keeps
   /// per-client slots deliberately small, so instead of storing each
   /// request's payload it asks the harness to rebuild it — which every
-  /// load harness can do, because payloads are a pure function of the
-  /// client index there.
+  /// harness can do, because payloads are a pure function of the client
+  /// index and, where they vary, of the request in flight (the only one
+  /// a client has).
   using RequestSource = std::function<std::pair<
       std::string, features::FeatureVector>(std::size_t client)>;
 
@@ -140,8 +166,18 @@ class WireClientPool final {
   /// send_request. Pass an empty function to clear.
   void set_response_handler(Callback done) { done_ = std::move(done); }
 
+  /// The observer may call abandon() for the challenged client; the
+  /// challenge is then not solved.
   void set_challenge_observer(ChallengeObserver observer) {
     challenge_observer_ = std::move(observer);
+  }
+
+  void set_submission_observer(SubmissionObserver observer) {
+    submission_observer_ = std::move(observer);
+  }
+
+  void set_stray_observer(StrayObserver observer) {
+    stray_observer_ = std::move(observer);
   }
 
   /// Installs the retry/timeout/backoff policy for every pool client
@@ -165,6 +201,13 @@ class WireClientPool final {
   /// installed.
   std::uint64_t send_request(std::size_t client, const std::string& path,
                              const features::FeatureVector& features);
+
+  /// Drops client \p client's in-flight request without resolving it:
+  /// cancels its timer and frees the slot, and the response handler
+  /// never fires for it. A later answer to it reaches the stray
+  /// observer. No-op when nothing is in flight. Throws std::out_of_range
+  /// on a bad index.
+  void abandon(std::size_t client);
 
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
 
@@ -223,6 +266,8 @@ class WireClientPool final {
   pow::Solver solver_;  ///< stateless — shared by every client
   Callback done_;
   ChallengeObserver challenge_observer_;
+  SubmissionObserver submission_observer_;
+  StrayObserver stray_observer_;
   RetryPolicy retry_;
   RequestSource request_source_;
   std::uint64_t solved_ = 0;

@@ -10,10 +10,9 @@ namespace powai::pow {
 namespace {
 constexpr std::size_t kSeedBytes = 32;
 
-/// Identity domains for puzzle-id derivation (wire-stable: changing
-/// them changes every issued seed).
-constexpr std::uint8_t kKeyedDomain = 0x01;    ///< issue_for(request_key)
-constexpr std::uint8_t kCounterDomain = 0x02;  ///< issue() internal counter
+/// Domain byte of the puzzle-id PRF input (wire-stable: changing it
+/// changes every issued id and seed).
+constexpr std::uint8_t kKeyedDomain = 0x01;
 }  // namespace
 
 PuzzleGenerator::PuzzleGenerator(const common::Clock& clock,
@@ -54,22 +53,16 @@ crypto::Digest PuzzleGenerator::compute_auth(common::BytesView mac_key,
   return mac.finish();
 }
 
-std::uint64_t PuzzleGenerator::derive_id(std::uint8_t domain,
-                                         const std::string& client_ip,
-                                         std::uint64_t request_key) const {
+std::uint64_t PuzzleGenerator::derive_puzzle_id(
+    const std::string& client_ip, std::uint64_t request_key) const {
   // Fixed-width prefix (domain || key) before the variable-length ip, so
-  // no two distinct (domain, key, ip) triples serialize identically.
+  // no two distinct (key, ip) pairs serialize identically.
   common::Bytes material;
   material.reserve(9 + client_ip.size());
-  material.push_back(domain);
+  material.push_back(kKeyedDomain);
   common::append_u64be(material, request_key);
   common::append(material, common::bytes_of(client_ip));
   return crypto::siphash24(id_key_, material);
-}
-
-std::uint64_t PuzzleGenerator::derive_puzzle_id(
-    const std::string& client_ip, std::uint64_t request_key) const {
-  return derive_id(kKeyedDomain, client_ip, request_key);
 }
 
 Puzzle PuzzleGenerator::issue_with_id(std::uint64_t puzzle_id,
@@ -92,15 +85,7 @@ Puzzle PuzzleGenerator::issue_with_id(std::uint64_t puzzle_id,
 Puzzle PuzzleGenerator::issue_for(const std::string& client_ip,
                                   std::uint64_t request_key,
                                   unsigned difficulty) {
-  return issue_with_id(derive_id(kKeyedDomain, client_ip, request_key),
-                       client_ip, difficulty);
-}
-
-Puzzle PuzzleGenerator::issue(const std::string& client_ip,
-                              unsigned difficulty) {
-  const std::uint64_t key =
-      legacy_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return issue_with_id(derive_id(kCounterDomain, client_ip, key), client_ip,
+  return issue_with_id(derive_puzzle_id(client_ip, request_key), client_ip,
                        difficulty);
 }
 

@@ -18,12 +18,14 @@
 /// and two runs of the same workload produce bit-identical puzzles.
 /// Re-issuing for the same (client_ip, request_key) returns the same
 /// id + seed (idempotent retry semantics; the replay cache still limits
-/// redemption to once). The legacy `issue()` overload draws its request
-/// key from an internal counter — unique per call, but arrival-ordered.
+/// redemption to once). Callers without a natural request identity
+/// (tools, benches, tests) pass any key unique per puzzle they need,
+/// such as a loop index.
 ///
 /// Thread-safe: all entry points may be called from any number of
 /// threads with no locks anywhere — the derivation state is immutable
-/// after construction and the only mutable members are relaxed atomics.
+/// after construction and the only mutable member is a relaxed atomic
+/// counter.
 
 #include <atomic>
 #include <cstdint>
@@ -52,12 +54,6 @@ class PuzzleGenerator final {
   [[nodiscard]] Puzzle issue_for(const std::string& client_ip,
                                  std::uint64_t request_key,
                                  unsigned difficulty);
-
-  /// Issues a puzzle using an internal counter as the request identity:
-  /// each call produces a unique id and fresh seed, in arrival order.
-  /// For callers without a stable per-request identity (standalone
-  /// tools, benches). Thread-safe, lock-free.
-  [[nodiscard]] Puzzle issue(const std::string& client_ip, unsigned difficulty);
 
   /// The puzzle id `issue_for(client_ip, request_key, …)` would assign —
   /// a keyed 64-bit PRF of the pair, exposed so callers can key other
@@ -102,18 +98,11 @@ class PuzzleGenerator final {
       common::BytesView master_secret);
 
  private:
-  /// \p domain separates the keyed (issue_for) and counter (issue)
-  /// identity spaces so they can never alias each other's puzzle ids.
-  [[nodiscard]] std::uint64_t derive_id(std::uint8_t domain,
-                                        const std::string& client_ip,
-                                        std::uint64_t request_key) const;
-
   const common::Clock* clock_;
   crypto::DerivedDrbg seed_streams_;  ///< per-puzzle-id seed derivation
   crypto::SipKey id_key_{};           ///< keys the puzzle-id PRF
   common::Bytes mac_key_;
-  std::atomic<std::uint64_t> issued_{0};      ///< puzzles issued (count)
-  std::atomic<std::uint64_t> legacy_seq_{0};  ///< identity source for issue()
+  std::atomic<std::uint64_t> issued_{0};  ///< puzzles issued (count)
 };
 
 }  // namespace powai::pow

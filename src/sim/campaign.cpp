@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -15,7 +15,6 @@
 #include "framework/transport.hpp"
 #include "netsim/event_loop.hpp"
 #include "netsim/network.hpp"
-#include "pow/solver.hpp"
 
 namespace powai::sim {
 
@@ -118,286 +117,194 @@ struct ClientTally final {
   std::uint64_t wire_lost_request = 0;
   std::uint64_t wire_lost_submission = 0;
   std::uint64_t replays_sent = 0;
-  std::uint64_t replay_answers = 0;
   std::uint64_t replays_served = 0;
   std::uint64_t malformed_sent = 0;
 };
 
+/// A campaign client's closed loop: its request budget, pacing and
+/// payloads.
 struct ClientSpec final {
-  std::string ip;
-  double hash_cost_us = kBenignHashCostUs;
-  /// Cycled by request index (poisoning attackers alternate two vectors).
+  /// Cycled by request id (poisoning attackers alternate two vectors).
   std::vector<features::FeatureVector> features;
   std::size_t n_requests = 0;
   common::Duration gap{};
   common::Duration start_at{};
-  bool auto_replay = false;
-  std::uint32_t auto_replay_count = 0;
-  /// Disabled by default; the overload scenario enables it for every
-  /// client. All timers run on simulated time, so retry schedules are
-  /// identical in sync and async runs.
-  framework::RetryPolicy retry;
 };
 
-/// A protocol-speaking campaign participant: a closed request loop like
-/// a framework::WireClientPool client's, plus the misbehavior seams
-/// fault events steer (desert challenges, replay redeemed proofs, flood
-/// undecodable bytes). Every request's fate lands in exactly one tally
-/// bucket, which is what the conservation invariant balances.
-class CampaignClient final {
+/// One campaign population (benign or attacker) on a
+/// framework::WireClientPool. The pool runs every request (send,
+/// challenge, modelled solve, submit, timeout/backoff/retry, resolve);
+/// this driver paces each client's closed loop, files every request's
+/// fate into exactly one tally bucket (what the conservation invariant
+/// balances), and carries the misbehavior seams fault events steer:
+/// desert challenges, replay redeemed proofs, flood undecodable bytes.
+class CampaignPopulation final {
  public:
-  CampaignClient(netsim::EventLoop& loop, netsim::Network& network,
-                 ClientSpec spec)
-      : loop_(&loop), network_(&network), spec_(std::move(spec)) {
-    client_key_ = framework::retry_client_key(spec_.ip);
-    network_->add_host(
-        spec_.ip, [this](const std::string& from, common::BytesView payload) {
-          (void)from;
-          on_message(payload);
+  /// Client i lives at base_ip + i and runs specs[i]. A disabled
+  /// \p retry leaves the pool single-shot. \p auto_replay re-submits
+  /// every redeemed proof that many times (0 = never).
+  CampaignPopulation(netsim::EventLoop& loop, netsim::Network& network,
+                     const std::string& base_ip, double hash_cost_us,
+                     std::vector<ClientSpec> specs,
+                     const framework::RetryPolicy& retry,
+                     std::uint32_t auto_replay)
+      : loop_(&loop),
+        network_(&network),
+        pool_(loop, network, base_ip, specs.size(), kServerHost,
+              hash_cost_us),
+        retry_enabled_(retry.enabled),
+        auto_replay_(auto_replay) {
+    clients_.resize(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      clients_[i].spec = std::move(specs[i]);
+    }
+    pool_.set_response_handler(
+        [this](std::size_t client, const framework::Response& response,
+               common::Duration) { on_response(client, response); });
+    pool_.set_challenge_observer(
+        [this](std::size_t client, const framework::Challenge&) {
+          on_challenge(client);
         });
+    pool_.set_submission_observer(
+        [this](std::size_t client, const framework::Submission& submission,
+               bool sent) {
+          clients_[client].last_submitted = submission;
+          if (!sent && !retry_enabled_) {
+            ++clients_[client].tally.wire_lost_submission;  // request hangs
+          }
+        });
+    // Answers to requests no longer in flight: replayed submissions, and
+    // the id-0 NAKs a malformed flood draws. A kOk here means the server
+    // redeemed the same proof twice (the single-redemption detector).
+    pool_.set_stray_observer(
+        [this](std::size_t client, const framework::Response& response) {
+          if (response.status == common::ErrorCode::kOk) {
+            ++clients_[client].tally.replays_served;
+          }
+        });
+    // A client has at most one request in flight, the one its `sent`
+    // count names, so a resend rebuilds that request's payload.
+    pool_.set_retry_policy(retry, [this](std::size_t client) {
+      const Client& c = clients_[client];
+      return std::make_pair(std::string("/"), features_of(c, c.tally.sent));
+    });
   }
 
-  CampaignClient(const CampaignClient&) = delete;
-  CampaignClient& operator=(const CampaignClient&) = delete;
+  CampaignPopulation(const CampaignPopulation&) = delete;
+  CampaignPopulation& operator=(const CampaignPopulation&) = delete;
+
+  [[nodiscard]] std::size_t size() const { return clients_.size(); }
 
   void start() {
-    loop_->schedule_in(spec_.start_at, [this] { send_next(); });
+    for (std::size_t i = 0; i < clients_.size(); ++i) {
+      loop_->schedule_in(clients_[i].spec.start_at,
+                         [this, i] { send_next(i); });
+    }
   }
 
   /// Abandon the next \p n challenges without submitting.
-  void desert_next(std::uint32_t n) { desert_budget_ += n; }
+  void desert_next(std::size_t client, std::uint32_t n) {
+    clients_[client].desert_budget += n;
+  }
 
   /// Re-submit the most recently redeemed proof \p n times (no-op until
   /// something has been served).
-  void replay_last(std::uint32_t n) {
-    if (!last_served_) return;
-    const common::Bytes wire = last_served_->serialize();
+  void replay_last(std::size_t client, std::uint32_t n) {
+    Client& c = clients_[client];
+    if (!c.last_served) return;
+    const common::Bytes wire = c.last_served->serialize();
     for (std::uint32_t i = 0; i < n; ++i) {
-      ++tally_.replays_sent;
-      (void)network_->send(spec_.ip, kServerHost, wire);
+      ++c.tally.replays_sent;
+      (void)network_->send(pool_.ip_of(client), kServerHost, wire);
     }
   }
 
   /// Send \p n undecodable payloads (bogus type tag) at the server.
-  void send_malformed(std::uint32_t n) {
+  void send_malformed(std::size_t client, std::uint32_t n) {
+    ClientTally& tally = clients_[client].tally;
     for (std::uint32_t i = 0; i < n; ++i) {
-      ++tally_.malformed_sent;
+      ++tally.malformed_sent;
       common::Bytes junk = {0xff, static_cast<std::uint8_t>(i),
-                            static_cast<std::uint8_t>(tally_.malformed_sent)};
-      (void)network_->send(spec_.ip, kServerHost, std::move(junk));
+                            static_cast<std::uint8_t>(tally.malformed_sent)};
+      (void)network_->send(pool_.ip_of(client), kServerHost,
+                           std::move(junk));
     }
   }
 
-  [[nodiscard]] const ClientTally& tally() const { return tally_; }
+  [[nodiscard]] const ClientTally& tally(std::size_t client) const {
+    return clients_[client].tally;
+  }
 
  private:
-  /// Retry bookkeeping for one in-flight request (loop-thread-only).
-  struct PendingReq final {
-    std::uint32_t attempts = 1;
-    netsim::EventId timer = 0;
-    std::int64_t deadline_ms = 0;
+  struct Client final {
+    ClientSpec spec;
+    ClientTally tally;
+    std::uint32_t desert_budget = 0;
+    std::optional<framework::Submission> last_submitted;
+    std::optional<framework::Submission> last_served;
   };
 
-  framework::Request build_request(std::uint64_t request_id) const {
-    framework::Request request;
-    request.client_ip = spec_.ip;
-    request.path = "/";
-    // Features are a pure function of the request id, so a resend
-    // reconstructs the identical payload.
-    request.features = spec_.features[(request_id - 1) % spec_.features.size()];
-    request.request_id = request_id;
-    return request;
+  static const features::FeatureVector& features_of(const Client& c,
+                                                    std::uint64_t request_id) {
+    return c.spec.features[(request_id - 1) % c.spec.features.size()];
   }
 
-  void send_next() {
-    if (tally_.sent >= spec_.n_requests) return;
-    framework::Request request = build_request(tally_.sent + 1);
-    ++tally_.sent;
-    if (spec_.retry.enabled &&
-        spec_.retry.request_deadline > common::Duration::zero()) {
-      request.deadline_ms =
-          common::to_millis(loop_->now() + spec_.retry.request_deadline);
-    }
-    const bool sent =
-        network_->send(spec_.ip, kServerHost, request.serialize());
-    if (!sent && !spec_.retry.enabled) {
-      ++tally_.wire_lost_request;  // lost at send; move on
-      schedule_next();
-      return;
-    }
-    PendingReq pending;
-    pending.deadline_ms = request.deadline_ms;
-    const auto [it, inserted] = pending_.emplace(request.request_id, pending);
-    (void)it;
-    (void)inserted;
-    // With retries a lost send is not a tally bucket: the timer will
-    // resend (or resolve kTimeout), so the request's fate is still
-    // exactly one of answered / deserted / timed_out.
-    if (spec_.retry.enabled) arm_timer(request.request_id, spec_.retry.timeout);
-  }
-
-  void schedule_next() {
-    loop_->schedule_in(spec_.gap, [this] { send_next(); });
-  }
-
-  void arm_timer(std::uint64_t request_id, common::Duration in) {
-    const auto it = pending_.find(request_id);
-    if (it == pending_.end()) return;
-    it->second.timer = loop_->schedule_in(
-        in, [this, request_id] { on_timeout(request_id); });
-  }
-
-  void cancel_timer(PendingReq& pending) {
-    if (pending.timer != 0) (void)loop_->cancel(pending.timer);
-    pending.timer = 0;
-  }
-
-  void on_timeout(std::uint64_t request_id) {
-    const auto it = pending_.find(request_id);
-    if (it == pending_.end()) return;  // resolved in the meantime
-    it->second.timer = 0;
-    if (it->second.attempts >= spec_.retry.max_attempts) {
-      // The synthetic client-side resolution: counts as answered so the
-      // conservation ledger still partitions every request, plus its
-      // own bucket for the exactly-once invariant.
-      pending_.erase(it);
-      ++tally_.answered;
-      ++tally_.timed_out;
-      submitted_.erase(request_id);
-      schedule_next();
-      return;
-    }
-    resend(request_id,
-           framework::retry_backoff(spec_.retry, client_key_, request_id,
-                                    it->second.attempts));
-  }
-
-  void resend(std::uint64_t request_id, common::Duration wait) {
-    const auto it = pending_.find(request_id);
-    if (it == pending_.end()) return;
-    ++it->second.attempts;
-    it->second.timer = loop_->schedule_in(wait, [this, request_id] {
-      const auto entry = pending_.find(request_id);
-      if (entry == pending_.end()) return;
-      framework::Request request = build_request(request_id);
-      request.deadline_ms = entry->second.deadline_ms;  // original deadline
-      (void)network_->send(spec_.ip, kServerHost, request.serialize());
-      arm_timer(request_id, spec_.retry.timeout);
-    });
-  }
-
-  void on_message(common::BytesView payload) {
-    const auto message = framework::decode(payload);
-    if (!message) return;  // noise
-    if (const auto* challenge =
-            std::get_if<framework::Challenge>(&*message)) {
-      on_challenge(*challenge);
-    } else if (const auto* response =
-                   std::get_if<framework::Response>(&*message)) {
-      on_response(*response);
+  void send_next(std::size_t client) {
+    Client& c = clients_[client];
+    if (c.tally.sent >= c.spec.n_requests) return;
+    ++c.tally.sent;
+    if (pool_.send_request(client, "/", features_of(c, c.tally.sent)) == 0) {
+      // Lost at send without retries: not in flight, so move on. With
+      // retries the pool's timer resends (or resolves kTimeout) instead.
+      ++c.tally.wire_lost_request;
+      schedule_next(client);
     }
   }
 
-  void on_challenge(const framework::Challenge& challenge) {
-    const auto it = pending_.find(challenge.request_id);
-    if (it == pending_.end()) return;
-    ++tally_.challenges;
-    if (desert_budget_ > 0) {
-      --desert_budget_;
-      ++tally_.deserted;
-      cancel_timer(it->second);
-      pending_.erase(it);
-      schedule_next();
-      return;
-    }
-    // Really solve, but model the time it occupies (attempts × per-hash
-    // cost on one sequential solver core) — same device model as
-    // WireClientPool, so campaign latencies are hardware-independent.
-    const pow::SolveResult solved = solver_.solve(challenge.puzzle);
-    const auto solve_cost = std::chrono::duration_cast<common::Duration>(
-        std::chrono::duration<double, std::micro>(
-            static_cast<double>(solved.attempts) * spec_.hash_cost_us));
-    const common::TimePoint begin =
-        std::max(loop_->now(), solver_busy_until_);
-    solver_busy_until_ = begin + solve_cost;
-
-    framework::Submission submission;
-    submission.request_id = challenge.request_id;
-    submission.puzzle = challenge.puzzle;
-    submission.solution = solved.solution;
-    submission.deadline_ms = it->second.deadline_ms;  // deadline propagates
-    const common::Duration delay = solver_busy_until_ - loop_->now();
-    if (spec_.retry.enabled) {
-      // Solving is local progress; the attempt clock restarts from the
-      // submission's send instant (same rule as WireClientPool).
-      cancel_timer(it->second);
-      arm_timer(challenge.request_id, delay + spec_.retry.timeout);
-    }
-    loop_->schedule_in(delay,
-                       [this, submission = std::move(submission)] {
-                         submitted_.insert_or_assign(submission.request_id,
-                                                     submission);
-                         if (!network_->send(spec_.ip, kServerHost,
-                                             submission.serialize()) &&
-                             !spec_.retry.enabled) {
-                           ++tally_.wire_lost_submission;  // request hangs
-                         }
-                       });
+  void schedule_next(std::size_t client) {
+    loop_->schedule_in(clients_[client].spec.gap,
+                       [this, client] { send_next(client); });
   }
 
-  void on_response(const framework::Response& response) {
-    const auto it = pending_.find(response.request_id);
-    if (it == pending_.end()) {
-      if (response.request_id == 0) return;  // malformed-flood NAK
-      // A reply to a replayed (already settled) submission. A kOk here
-      // means the server redeemed the same proof twice — the
-      // single-redemption invariant's detector.
-      ++tally_.replay_answers;
-      if (response.status == common::ErrorCode::kOk) ++tally_.replays_served;
-      return;
-    }
-    if (spec_.retry.enabled &&
-        response.status == common::ErrorCode::kUnavailable &&
-        it->second.attempts < spec_.retry.max_attempts) {
-      // Shed by the server — retry internally, honouring its hint.
-      cancel_timer(it->second);
-      const auto backoff = framework::retry_backoff(
-          spec_.retry, client_key_, response.request_id, it->second.attempts);
-      const auto hinted = std::chrono::duration_cast<common::Duration>(
-          std::chrono::milliseconds(response.retry_after_ms));
-      resend(response.request_id, std::max(backoff, hinted));
-      return;
-    }
-    cancel_timer(it->second);
-    pending_.erase(it);
-    ++tally_.answered;
-    if (response.status == common::ErrorCode::kOk) {
-      ++tally_.served;
-      if (const auto sub = submitted_.find(response.request_id);
-          sub != submitted_.end()) {
-        last_served_ = sub->second;
+  void on_challenge(std::size_t client) {
+    Client& c = clients_[client];
+    ++c.tally.challenges;
+    if (c.desert_budget == 0) return;
+    --c.desert_budget;
+    ++c.tally.deserted;
+    pool_.abandon(client);
+    schedule_next(client);
+  }
+
+  void on_response(std::size_t client, const framework::Response& response) {
+    Client& c = clients_[client];
+    ++c.tally.answered;
+    if (response.status == common::ErrorCode::kTimeout) {
+      // The pool's synthetic resolution once the retry budget is spent;
+      // it still counts as answered so the conservation ledger
+      // partitions every request.
+      ++c.tally.timed_out;
+    } else if (response.status == common::ErrorCode::kOk) {
+      ++c.tally.served;
+      if (c.last_submitted &&
+          c.last_submitted->request_id == response.request_id) {
+        c.last_served = c.last_submitted;
       }
-      if (spec_.auto_replay) replay_last(spec_.auto_replay_count);
+      replay_last(client, auto_replay_);
     } else if (response.status == common::ErrorCode::kUnavailable) {
-      ++tally_.overloaded;
+      ++c.tally.overloaded;
     } else {
-      ++tally_.rejected;
+      ++c.tally.rejected;
     }
-    submitted_.erase(response.request_id);
-    schedule_next();
+    schedule_next(client);
   }
 
   netsim::EventLoop* loop_;
   netsim::Network* network_;
-  ClientSpec spec_;
-  pow::Solver solver_;
-  ClientTally tally_;
-  std::uint64_t client_key_ = 0;  ///< retry jitter stream key
-  std::uint32_t desert_budget_ = 0;
-  common::TimePoint solver_busy_until_{};
-  std::unordered_map<std::uint64_t, PendingReq> pending_;
-  std::unordered_map<std::uint64_t, framework::Submission> submitted_;
-  std::optional<framework::Submission> last_served_;
+  framework::WireClientPool pool_;
+  bool retry_enabled_;
+  std::uint32_t auto_replay_;
+  std::vector<Client> clients_;
 };
 
 /// One execution's raw output: the comparable tallies plus async-side
@@ -513,33 +420,49 @@ RunOutput execute(const reputation::IReputationModel& model,
         network, kServerHost, server);
   }
 
+  // Two pools, benign then attackers, so global client i (the fault
+  // plan's target space and the tally order) is benign i or attacker
+  // i - benign_clients; client_ip() gives each a contiguous range.
   const auto features = derive_features(cfg, shape);
-  std::vector<std::unique_ptr<CampaignClient>> clients;
-  clients.reserve(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    const bool attacker = i >= cfg.benign_clients;
-    ClientSpec spec;
-    spec.ip = client_ip(i, attacker);
-    spec.hash_cost_us =
-        attacker ? shape.attacker_hash_cost_us : kBenignHashCostUs;
-    spec.features = features[i];
-    spec.n_requests = cfg.requests_per_client *
-                      (attacker ? shape.attacker_request_factor : 1);
-    spec.gap = attacker ? shape.attacker_gap : shape.benign_gap;
-    if (shape.overload) spec.retry = overload_retry_policy(cfg.seed);
-    // Benign clients stagger lightly; attackers join on the scenario's
-    // ramp (all at once when ramp is zero).
-    spec.start_at = attacker
-                        ? std::chrono::milliseconds(50) +
-                              shape.ramp * static_cast<std::int64_t>(
-                                               i - cfg.benign_clients)
-                        : std::chrono::milliseconds(30) *
-                              static_cast<std::int64_t>(i);
-    spec.auto_replay = attacker && shape.auto_replay;
-    spec.auto_replay_count = shape.auto_replay_count;
-    clients.push_back(
-        std::make_unique<CampaignClient>(loop, network, std::move(spec)));
+  const framework::RetryPolicy retry = shape.overload
+                                           ? overload_retry_policy(cfg.seed)
+                                           : framework::RetryPolicy{};
+  std::vector<std::unique_ptr<CampaignPopulation>> populations;
+  for (const bool attacker : {false, true}) {
+    const std::size_t first = attacker ? cfg.benign_clients : 0;
+    const std::size_t count = attacker ? cfg.attackers : cfg.benign_clients;
+    if (count == 0) continue;
+    std::vector<ClientSpec> specs(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      ClientSpec& spec = specs[k];
+      spec.features = features[first + k];
+      spec.n_requests = cfg.requests_per_client *
+                        (attacker ? shape.attacker_request_factor : 1);
+      spec.gap = attacker ? shape.attacker_gap : shape.benign_gap;
+      // Benign clients stagger lightly; attackers join on the scenario's
+      // ramp (all at once when ramp is zero).
+      spec.start_at = attacker ? std::chrono::milliseconds(50) +
+                                     shape.ramp * static_cast<std::int64_t>(k)
+                               : std::chrono::milliseconds(30) *
+                                     static_cast<std::int64_t>(k);
+    }
+    populations.push_back(std::make_unique<CampaignPopulation>(
+        loop, network, client_ip(first, attacker),
+        attacker ? shape.attacker_hash_cost_us : kBenignHashCostUs,
+        std::move(specs), retry,
+        attacker && shape.auto_replay ? shape.auto_replay_count : 0));
   }
+  // Fault targets index clients globally.
+  const auto client_at = [&populations, total](std::uint64_t target) {
+    std::size_t index = static_cast<std::size_t>(target % total);
+    for (const auto& population : populations) {
+      if (index < population->size()) {
+        return std::make_pair(population.get(), index);
+      }
+      index -= population->size();
+    }
+    throw std::logic_error("run_campaign: client index out of range");
+  };
 
   // --- Schedule the fault plan -------------------------------------------
   // Overlapping link windows compose: losses combine as independent
@@ -613,23 +536,26 @@ RunOutput execute(const reputation::IReputationModel& model,
         break;
       case FaultKind::kMalformedFlood:
         loop.schedule_at(start + event.at,
-                         [&clients, total, event] {
-                           clients[event.target % total]->send_malformed(
-                               event.count);
+                         [client_at, event] {
+                           const auto [population, i] =
+                               client_at(event.target);
+                           population->send_malformed(i, event.count);
                          });
         break;
       case FaultKind::kSolverDesertion:
         loop.schedule_at(start + event.at,
-                         [&clients, total, event] {
-                           clients[event.target % total]->desert_next(
-                               event.count);
+                         [client_at, event] {
+                           const auto [population, i] =
+                               client_at(event.target);
+                           population->desert_next(i, event.count);
                          });
         break;
       case FaultKind::kReplayFlood:
         loop.schedule_at(start + event.at,
-                         [&clients, total, event] {
-                           clients[event.target % total]->replay_last(
-                               event.count);
+                         [client_at, event] {
+                           const auto [population, i] =
+                               client_at(event.target);
+                           population->replay_last(i, event.count);
                          });
         break;
       case FaultKind::kSlowVerify:
@@ -680,7 +606,7 @@ RunOutput execute(const reputation::IReputationModel& model,
     front_end->set_fault_hooks(std::move(hooks));
   }
 
-  for (auto& client : clients) client->start();
+  for (auto& population : populations) population->start();
   if (async) {
     (void)front_end->run_until_idle();
   } else {
@@ -694,8 +620,9 @@ RunOutput execute(const reputation::IReputationModel& model,
   out.ladder_enabled = shape.overload;
   out.tallies.server = server.stats();
   out.tallies.clients.reserve(total);
-  for (const auto& client : clients) {
-    const ClientTally& t = client->tally();
+  for (std::size_t i = 0; i < total; ++i) {
+    const auto [population, index] = client_at(i);
+    const ClientTally& t = population->tally(index);
     ClientOutcome row;
     row.sent = t.sent;
     row.served = t.served;

@@ -37,6 +37,7 @@ Fig2Result run_fig2(const std::vector<const policy::IPolicy*>& policies,
   common::ManualClock clock;
   pow::PuzzleGenerator generator(clock, common::bytes_of("fig2-secret"));
   const pow::Solver solver;
+  std::uint64_t trial_key = 0;  ///< one puzzle identity per real solve
 
   Fig2Result result;
   for (const policy::IPolicy* pol : policies) {
@@ -54,7 +55,8 @@ Fig2Result run_fig2(const std::vector<const policy::IPolicy*>& policies,
 
         std::uint64_t attempts;
         if (config.use_real_solver) {
-          const pow::Puzzle puzzle = generator.issue("198.51.100.7", d);
+          const pow::Puzzle puzzle =
+              generator.issue_for("198.51.100.7", ++trial_key, d);
           const pow::SolveResult solved = solver.solve(puzzle);
           attempts = solved.attempts;
         } else {

@@ -37,6 +37,7 @@ struct Solved {
 struct Rig {
   common::ManualClock clock;
   PuzzleGenerator generator;
+  std::uint64_t next_key = 1;  ///< request key of the next solved() puzzle
   Verifier verifier;
   Solver solver;
   std::deque<Solved> store;  // deque: stable addresses across push_back
@@ -46,7 +47,7 @@ struct Rig {
         verifier(clock, common::bytes_of("batch-secret"), config) {}
 
   Solved& solved(unsigned difficulty, const std::string& ip = "1.2.3.4") {
-    const Puzzle p = generator.issue(ip, difficulty);
+    const Puzzle p = generator.issue_for(ip, next_key++, difficulty);
     const SolveResult r = solver.solve(p);
     EXPECT_TRUE(r.found);
     store.push_back({p, r.solution, {}});

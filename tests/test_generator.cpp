@@ -26,8 +26,8 @@ TEST(Generator, IssuesUniqueIdsAndSeeds) {
   PuzzleGenerator gen(clock, common::bytes_of("secret"));
   std::set<std::uint64_t> ids;
   std::set<std::string> seeds;
-  for (int i = 0; i < 200; ++i) {
-    const Puzzle p = gen.issue("1.2.3.4", 3);
+  for (std::uint64_t key = 0; key < 200; ++key) {
+    const Puzzle p = gen.issue_for("1.2.3.4", key, 3);
     ids.insert(p.puzzle_id);
     seeds.insert(common::to_hex(p.seed));
   }
@@ -39,21 +39,21 @@ TEST(Generator, IssuesUniqueIdsAndSeeds) {
 TEST(Generator, SeedsAre32Bytes) {
   common::ManualClock clock;
   PuzzleGenerator gen(clock, common::bytes_of("secret"));
-  EXPECT_EQ(gen.issue("1.2.3.4", 1).seed.size(), 32u);
+  EXPECT_EQ(gen.issue_for("1.2.3.4", 1, 1).seed.size(), 32u);
 }
 
 TEST(Generator, StampsCurrentTime) {
   common::ManualClock clock(common::TimePoint{} + 12345ms);
   PuzzleGenerator gen(clock, common::bytes_of("secret"));
-  EXPECT_EQ(gen.issue("1.2.3.4", 1).issued_at_ms, 12345);
+  EXPECT_EQ(gen.issue_for("1.2.3.4", 1, 1).issued_at_ms, 12345);
   clock.advance(1s);
-  EXPECT_EQ(gen.issue("1.2.3.4", 1).issued_at_ms, 13345);
+  EXPECT_EQ(gen.issue_for("1.2.3.4", 2, 1).issued_at_ms, 13345);
 }
 
 TEST(Generator, BindsRequestedClientAndDifficulty) {
   common::ManualClock clock;
   PuzzleGenerator gen(clock, common::bytes_of("secret"));
-  const Puzzle p = gen.issue("10.0.0.7", 9);
+  const Puzzle p = gen.issue_for("10.0.0.7", 1, 9);
   EXPECT_EQ(p.client_binding, "10.0.0.7");
   EXPECT_EQ(p.difficulty, 9u);
 }
@@ -62,7 +62,7 @@ TEST(Generator, AuthTagVerifiesUnderDerivedKey) {
   common::ManualClock clock;
   const common::Bytes secret = common::bytes_of("secret");
   PuzzleGenerator gen(clock, secret);
-  const Puzzle p = gen.issue("1.2.3.4", 5);
+  const Puzzle p = gen.issue_for("1.2.3.4", 1, 5);
   const common::Bytes mac_key = PuzzleGenerator::derive_mac_key(secret);
   EXPECT_EQ(PuzzleGenerator::compute_auth(mac_key, p), p.auth);
 }
@@ -72,7 +72,7 @@ TEST(Generator, AuthTagChangesWithAnyField) {
   const common::Bytes secret = common::bytes_of("secret");
   PuzzleGenerator gen(clock, secret);
   const common::Bytes mac_key = PuzzleGenerator::derive_mac_key(secret);
-  const Puzzle p = gen.issue("1.2.3.4", 5);
+  const Puzzle p = gen.issue_for("1.2.3.4", 1, 5);
 
   Puzzle tampered = p;
   tampered.difficulty = 1;  // client trying to lower its work
@@ -95,7 +95,7 @@ TEST(Generator, DistinctSecretsProduceDistinctTags) {
   common::ManualClock clock;
   PuzzleGenerator gen_a(clock, common::bytes_of("secret-a"));
   PuzzleGenerator gen_b(clock, common::bytes_of("secret-b"));
-  const Puzzle a = gen_a.issue("1.2.3.4", 5);
+  const Puzzle a = gen_a.issue_for("1.2.3.4", 1, 5);
   // Forge: take a's fields, tag must not verify under b's key.
   const common::Bytes key_b =
       PuzzleGenerator::derive_mac_key(common::bytes_of("secret-b"));
@@ -107,20 +107,21 @@ TEST(Generator, SeedStreamsDifferAcrossSecrets) {
   common::ManualClock clock;
   PuzzleGenerator gen_a(clock, common::bytes_of("secret-a"));
   PuzzleGenerator gen_b(clock, common::bytes_of("secret-b"));
-  EXPECT_NE(gen_a.issue("1.2.3.4", 1).seed, gen_b.issue("1.2.3.4", 1).seed);
+  EXPECT_NE(gen_a.issue_for("1.2.3.4", 1, 1).seed,
+            gen_b.issue_for("1.2.3.4", 1, 1).seed);
 }
 
 TEST(Generator, KeyedIssuanceIsOrderIndependent) {
-  // The tentpole property: issue_for is a pure function of identity —
-  // interleaving other issues (keyed or counter) between two calls for
-  // the same (ip, request_key) changes nothing, and two generator
-  // instances over the same secret agree.
+  // The core property: issue_for is a pure function of identity —
+  // interleaving other issues between two calls for the same
+  // (ip, request_key) changes nothing, and two generator instances over
+  // the same secret agree.
   common::ManualClock clock;
   const common::Bytes secret = common::bytes_of("keyed-secret");
   PuzzleGenerator gen(clock, secret);
 
   const Puzzle first = gen.issue_for("10.0.0.1", 7, 5);
-  for (int i = 0; i < 10; ++i) (void)gen.issue("9.9.9.9", 3);
+  for (std::uint64_t i = 0; i < 10; ++i) (void)gen.issue_for("9.9.9.9", i, 3);
   (void)gen.issue_for("10.0.0.2", 7, 5);   // same key, other ip
   (void)gen.issue_for("10.0.0.1", 8, 5);   // same ip, other key
   const Puzzle again = gen.issue_for("10.0.0.1", 7, 5);
@@ -152,15 +153,15 @@ TEST(Generator, DerivePuzzleIdMatchesIssueFor) {
 }
 
 TEST(Generator, CounterAndKeyedIdentityDomainsDoNotAlias) {
-  // issue()'s counter starts at 1; a client using request keys 1, 2, …
-  // from the same ip must still get different puzzles than the counter
-  // path hands out (separate derivation domains).
+  // There is one identity domain: a tool keying puzzles by a loop
+  // counter (1, 2, …) and a client using request ids 1, 2, … share it,
+  // so only the bound ip tells their puzzles apart — and it must.
   common::ManualClock clock;
   PuzzleGenerator gen(clock, common::bytes_of("keyed-secret"));
-  const Puzzle counter_issued = gen.issue("1.2.3.4", 5);  // counter key 1
-  const Puzzle keyed = gen.issue_for("1.2.3.4", 1, 5);
-  EXPECT_NE(counter_issued.puzzle_id, keyed.puzzle_id);
-  EXPECT_NE(counter_issued.seed, keyed.seed);
+  const Puzzle counter_keyed = gen.issue_for("198.51.100.2", 1, 5);
+  const Puzzle request_keyed = gen.issue_for("1.2.3.4", 1, 5);
+  EXPECT_NE(counter_keyed.puzzle_id, request_keyed.puzzle_id);
+  EXPECT_NE(counter_keyed.seed, request_keyed.seed);
 }
 
 TEST(Generator, KeyedIssuanceVerifiesAndCounts) {

@@ -17,7 +17,8 @@ namespace {
 Puzzle make_base(unsigned difficulty) {
   static common::ManualClock clock;
   static PuzzleGenerator gen(clock, common::bytes_of("multi-secret"));
-  return gen.issue("192.0.2.9", difficulty);
+  static std::uint64_t key = 0;
+  return gen.issue_for("192.0.2.9", ++key, difficulty);
 }
 
 TEST(SplitPuzzle, ComputesSubDifficulty) {
@@ -133,7 +134,9 @@ TEST(VarianceReduction, FanoutTightensSolveTimeSpread) {
     common::ManualClock clock;
     PuzzleGenerator gen(clock, common::bytes_of("variance-secret"));
     for (int t = 0; t < trials; ++t) {
-      const MultiPuzzle m = split_puzzle(gen.issue("192.0.2.1", d), fanout);
+      const MultiPuzzle m = split_puzzle(
+          gen.issue_for("192.0.2.1", static_cast<std::uint64_t>(t), d),
+          fanout);
       const MultiSolveResult r = solve_multi(m);
       EXPECT_TRUE(r.found);
       attempts.add(static_cast<double>(r.attempts));
@@ -156,7 +159,9 @@ TEST(VarianceReduction, MeanWorkUnchangedByFanout) {
     common::ManualClock clock;
     PuzzleGenerator gen(clock, common::bytes_of("mean-secret"));
     for (int t = 0; t < trials; ++t) {
-      const MultiPuzzle m = split_puzzle(gen.issue("192.0.2.1", d), fanout);
+      const MultiPuzzle m = split_puzzle(
+          gen.issue_for("192.0.2.1", static_cast<std::uint64_t>(t), d),
+          fanout);
       attempts.add(static_cast<double>(solve_multi(m).attempts));
     }
     return attempts.mean();

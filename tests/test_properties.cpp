@@ -6,12 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/clock.hpp"
-#include "common/config.hpp"
 #include "common/rng.hpp"
 #include "framework/protocol.hpp"
-#include "policy/factory.hpp"
+#include "policy/error_range_policy.hpp"
+#include "policy/extensions.hpp"
+#include "policy/linear_policy.hpp"
 #include "pow/generator.hpp"
 #include "pow/multi_puzzle.hpp"
 #include "pow/solver.hpp"
@@ -32,7 +39,7 @@ TEST_P(DifficultySweep, SolveVerifyRoundTrip) {
   common::ManualClock clock;
   pow::PuzzleGenerator generator(clock, common::bytes_of("sweep-secret"));
   pow::Verifier verifier(clock, common::bytes_of("sweep-secret"));
-  const pow::Puzzle puzzle = generator.issue("192.0.2.1", d);
+  const pow::Puzzle puzzle = generator.issue_for("192.0.2.1", 1, d);
   const pow::SolveResult solved = pow::Solver{}.solve(puzzle);
   ASSERT_TRUE(solved.found);
   EXPECT_GE(crypto::leading_zero_bits(
@@ -48,7 +55,7 @@ TEST_P(DifficultySweep, EarlierNoncesDoNotSolve) {
   if (d > 10) GTEST_SKIP() << "bounded exhaustive check only for small d";
   common::ManualClock clock;
   pow::PuzzleGenerator generator(clock, common::bytes_of("sweep-secret-2"));
-  const pow::Puzzle puzzle = generator.issue("192.0.2.1", d);
+  const pow::Puzzle puzzle = generator.issue_for("192.0.2.1", 1, d);
   const pow::SolveResult solved = pow::Solver{}.solve(puzzle);
   ASSERT_TRUE(solved.found);
   for (std::uint64_t n = 0; n < solved.solution.nonce; ++n) {
@@ -61,7 +68,7 @@ TEST_P(DifficultySweep, AttemptCountEqualsNoncePlusOne) {
   const unsigned d = GetParam();
   common::ManualClock clock;
   pow::PuzzleGenerator generator(clock, common::bytes_of("sweep-secret-3"));
-  const pow::Puzzle puzzle = generator.issue("192.0.2.1", d);
+  const pow::Puzzle puzzle = generator.issue_for("192.0.2.1", 1, d);
   const pow::SolveResult solved = pow::Solver{}.solve(puzzle);
   ASSERT_TRUE(solved.found);
   EXPECT_EQ(solved.attempts, solved.solution.nonce + 1);
@@ -87,7 +94,7 @@ TEST_P(TamperSweep, AnyFieldChangeIsRejected) {
   common::ManualClock clock;
   pow::PuzzleGenerator generator(clock, common::bytes_of("tamper-secret"));
   pow::Verifier verifier(clock, common::bytes_of("tamper-secret"));
-  const pow::Puzzle original = generator.issue("192.0.2.1", 6);
+  const pow::Puzzle original = generator.issue_for("192.0.2.1", 1, 6);
   pow::Puzzle tampered = original;
   switch (GetParam()) {
     case Tamper::kSeed: tampered.seed[0] ^= 1; break;
@@ -123,16 +130,42 @@ INSTANTIATE_TEST_SUITE_P(AllFields, TamperSweep,
                          });
 
 // ---------------------------------------------------------------------------
-// Property: every factory-constructible policy is monotone (in
-// expectation for the randomized one) and stays inside the difficulty
-// band across the whole score range.
+// Property: every shipped policy is monotone (in expectation for the
+// randomized one) and stays inside the difficulty band across the whole
+// score range.
 // ---------------------------------------------------------------------------
+
+/// The swept policies, by the spec string that names each case.
+policy::PolicyPtr make_swept_policy(std::string_view spec) {
+  using namespace policy;
+  if (spec == "policy=policy1") return std::make_unique<LinearPolicy>(1);
+  if (spec == "policy=policy2") return std::make_unique<LinearPolicy>(5);
+  if (spec == "policy=linear offset=3 slope=0.5") {
+    return std::make_unique<LinearPolicy>(3, 0.5);
+  }
+  if (spec == "policy=error_range epsilon=1.5") {
+    return std::make_unique<ErrorRangePolicy>(1.5);
+  }
+  if (spec == "policy=error_range epsilon=3.0") {
+    return std::make_unique<ErrorRangePolicy>(3.0);
+  }
+  if (spec == "policy=step tiers=3:2,7:8,10:15") {
+    return std::make_unique<StepPolicy>(
+        std::vector<std::pair<double, Difficulty>>{{3, 2}, {7, 8}, {10, 15}});
+  }
+  if (spec == "policy=exponential base=1.0 growth=1.3") {
+    return std::make_unique<ExponentialPolicy>(1.0, 1.3);
+  }
+  if (spec == "policy=target_latency l0_ms=30 l1_ms=900 hash_us=0.5") {
+    return std::make_unique<TargetLatencyPolicy>(30.0, 900.0, 0.5);
+  }
+  throw std::invalid_argument("no swept policy named " + std::string(spec));
+}
 
 class PolicySweep : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(PolicySweep, OutputAlwaysInSupportedBand) {
-  const auto policy =
-      policy::make_policy(common::Config::parse(GetParam()));
+  const auto policy = make_swept_policy(GetParam());
   common::Rng rng(1);
   for (double s = -2.0; s <= 12.0; s += 0.25) {
     const policy::Difficulty d = policy->difficulty(s, rng);
@@ -142,8 +175,7 @@ TEST_P(PolicySweep, OutputAlwaysInSupportedBand) {
 }
 
 TEST_P(PolicySweep, MeanDifficultyIsNonDecreasingInScore) {
-  const auto policy =
-      policy::make_policy(common::Config::parse(GetParam()));
+  const auto policy = make_swept_policy(GetParam());
   common::Rng rng(2);
   double prev_mean = 0.0;
   for (int r = 0; r <= 10; ++r) {
@@ -164,7 +196,7 @@ TEST_P(PolicySweep, DeterministicPoliciesIgnoreRngState) {
   if (spec.find("error_range") != std::string::npos) {
     GTEST_SKIP() << "policy 3 is randomized by design";
   }
-  const auto policy = policy::make_policy(common::Config::parse(spec));
+  const auto policy = make_swept_policy(spec);
   common::Rng rng_a(3);
   common::Rng rng_b(4444);
   for (int r = 0; r <= 10; ++r) {
@@ -220,8 +252,8 @@ TEST_P(ProtocolSweep, RandomizedSubmissionRoundTrips) {
   pow::PuzzleGenerator gen(clock, common::bytes_of("proto-sweep"));
   framework::Submission s;
   s.request_id = rng();
-  s.puzzle = gen.issue("10.1.2.3",
-                       static_cast<unsigned>(rng.uniform_u64(1, 30)));
+  s.puzzle = gen.issue_for("10.1.2.3", 1,
+                           static_cast<unsigned>(rng.uniform_u64(1, 30)));
   s.solution = {s.puzzle.puzzle_id, rng()};
   const auto decoded = framework::decode(s.serialize());
   ASSERT_TRUE(decoded.has_value());
@@ -247,7 +279,7 @@ TEST_P(FanoutSweep, SolvesVerifiesAndConservesWork) {
   common::ManualClock clock;
   pow::PuzzleGenerator gen(clock, common::bytes_of("fanout-sweep"));
   const unsigned d = 10;
-  const pow::MultiPuzzle m = pow::split_puzzle(gen.issue("10.0.0.1", d), fanout);
+  const pow::MultiPuzzle m = pow::split_puzzle(gen.issue_for("10.0.0.1", 1, d), fanout);
   EXPECT_DOUBLE_EQ(
       static_cast<double>(fanout) * std::pow(2.0, m.sub_difficulty),
       std::pow(2.0, d));

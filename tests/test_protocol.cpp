@@ -15,7 +15,8 @@ namespace {
 pow::Puzzle sample_puzzle() {
   static common::ManualClock clock;
   static pow::PuzzleGenerator gen(clock, common::bytes_of("proto-secret"));
-  return gen.issue("203.0.113.5", 6);
+  static std::uint64_t key = 0;
+  return gen.issue_for("203.0.113.5", ++key, 6);
 }
 
 features::FeatureVector sample_features() {

@@ -16,7 +16,7 @@ namespace {
 Puzzle sample_puzzle(unsigned difficulty = 4) {
   common::ManualClock clock(common::TimePoint{} + std::chrono::seconds(100));
   PuzzleGenerator gen(clock, common::bytes_of("secret"));
-  return gen.issue("192.168.1.10", difficulty);
+  return gen.issue_for("192.168.1.10", 1, difficulty);
 }
 
 TEST(Puzzle, PrefixContainsAllRequestData) {

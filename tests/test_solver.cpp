@@ -21,7 +21,8 @@ namespace {
 Puzzle make_puzzle(unsigned difficulty, const std::string& ip = "1.2.3.4") {
   static common::ManualClock clock;
   static PuzzleGenerator gen(clock, common::bytes_of("solver-test-secret"));
-  return gen.issue(ip, difficulty);
+  static std::uint64_t key = 0;
+  return gen.issue_for(ip, ++key, difficulty);
 }
 
 TEST(Solver, SolvesEasyPuzzle) {
@@ -132,7 +133,8 @@ TEST(Solver, AttemptCountNearExpectedWork) {
   double total = 0.0;
   const int trials = 200;
   for (int i = 0; i < trials; ++i) {
-    const Puzzle p = gen.issue("9.9.9.9", 8);
+    const Puzzle p =
+        gen.issue_for("9.9.9.9", static_cast<std::uint64_t>(i), 8);
     const SolveResult r = Solver{}.solve(p);
     ASSERT_TRUE(r.found);
     total += static_cast<double>(r.attempts);
@@ -149,10 +151,11 @@ TEST(Solver, HigherDifficultyTakesMoreAttemptsOnAverage) {
   double mean_high = 0.0;
   const int trials = 60;
   for (int i = 0; i < trials; ++i) {
+    const auto key = static_cast<std::uint64_t>(i);
     mean_low += static_cast<double>(
-        Solver{}.solve(gen.issue("1.1.1.1", 4)).attempts);
+        Solver{}.solve(gen.issue_for("1.1.1.1", 2 * key, 4)).attempts);
     mean_high += static_cast<double>(
-        Solver{}.solve(gen.issue("1.1.1.1", 9)).attempts);
+        Solver{}.solve(gen.issue_for("1.1.1.1", 2 * key + 1, 9)).attempts);
   }
   EXPECT_GT(mean_high / trials, 4.0 * mean_low / trials);
 }

@@ -26,7 +26,8 @@ using crypto::Sha256Backend;
 Puzzle make_puzzle(unsigned difficulty, const std::string& ip = "5.6.7.8") {
   static common::ManualClock clock;
   static PuzzleGenerator gen(clock, common::bytes_of("solver-backend-secret"));
-  return gen.issue(ip, difficulty);
+  static std::uint64_t key = 0;
+  return gen.issue_for(ip, ++key, difficulty);
 }
 
 /// Runs one single-threaded scan under a forced backend, restoring the

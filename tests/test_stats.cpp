@@ -1,4 +1,4 @@
-// Tests for running statistics, exact quantiles, and histograms.
+// Tests for running statistics and exact quantiles.
 
 #include "common/stats.hpp"
 
@@ -116,51 +116,6 @@ TEST(Samples, MinMaxThrowOnEmpty) {
   Samples s;
   EXPECT_THROW((void)s.min(), std::invalid_argument);
   EXPECT_THROW((void)s.max(), std::invalid_argument);
-}
-
-TEST(Histogram, CountsFallIntoCorrectBins) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  h.add(9.99);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(1), 2u);
-  EXPECT_EQ(h.bin(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, UnderflowOverflowSaturate) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(10.0);   // hi is exclusive
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(10.0, 0.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), std::invalid_argument);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 100.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 25.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 75.0);
-}
-
-TEST(Histogram, AsciiRenderingMentionsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.7);
-  const std::string art = h.to_ascii();
-  EXPECT_NE(art.find('#'), std::string::npos);
-  EXPECT_NE(art.find('2'), std::string::npos);
 }
 
 TEST(SamplesVsRunningStats, AgreeOnMoments) {

@@ -315,6 +315,119 @@ TEST_F(TransportTest, PooledClientsRetryOverALossyLinkToo) {
   }
 }
 
+TEST_F(TransportTest, AbandonFromTheChallengeObserverDropsTheRequest) {
+  // A client that takes a challenge and never submits: abandon() from
+  // inside the challenge observer leaves the challenge unsolved, fires
+  // no handler (not even a retry-policy kTimeout later), sends nothing,
+  // and frees the slot for the next request.
+  WireClientPool client(loop_, network_, "10.0.3.1", 1, kServerHost);
+  RetryPolicy policy;
+  policy.enabled = true;
+  policy.timeout = 200ms;
+  policy.max_attempts = 2;
+  client.set_retry_policy(policy, [this](std::size_t) {
+    return std::make_pair(std::string("/"), benign_features_);
+  });
+  int fired = 0;
+  std::optional<Response> got;
+  client.set_response_handler(
+      [&](std::size_t, const Response& r, common::Duration) {
+        got = r;
+        ++fired;
+      });
+  int submissions = 0;
+  client.set_submission_observer(
+      [&](std::size_t, const Submission&, bool) { ++submissions; });
+  bool desert = true;
+  client.set_challenge_observer([&](std::size_t c, const Challenge&) {
+    if (desert) client.abandon(c);
+  });
+
+  EXPECT_EQ(client.send_request(0, "/", benign_features_), 1u);
+  loop_.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(submissions, 0);
+  EXPECT_EQ(client.challenges_solved(), 0u);
+  EXPECT_EQ(server_->stats().challenges_issued, 1u);
+  EXPECT_EQ(server_->stats().served, 0u);
+
+  desert = false;
+  EXPECT_EQ(client.send_request(0, "/", benign_features_), 2u);
+  loop_.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(submissions, 1);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->request_id, 2u);
+  EXPECT_EQ(got->status, common::ErrorCode::kOk);
+}
+
+TEST_F(TransportTest, ReplayedSubmissionAnswerReachesTheStrayObserver) {
+  // Re-sending a redeemed submission draws a kReplay for a request that
+  // is no longer in flight: the stray observer sees it, the response
+  // handler does not.
+  WireClientPool client(loop_, network_, "10.0.3.2", 1, kServerHost);
+  int fired = 0;
+  client.set_response_handler(
+      [&](std::size_t, const Response&, common::Duration) { ++fired; });
+  std::optional<Submission> submitted;
+  client.set_submission_observer(
+      [&](std::size_t, const Submission& submission, bool sent) {
+        EXPECT_TRUE(sent);
+        submitted = submission;
+      });
+  std::vector<Response> strays;
+  client.set_stray_observer(
+      [&](std::size_t c, const Response& r) {
+        EXPECT_EQ(c, 0u);
+        strays.push_back(r);
+      });
+
+  const std::uint64_t id = client.send_request(0, "/", benign_features_);
+  loop_.run();
+  ASSERT_EQ(fired, 1);
+  ASSERT_TRUE(submitted.has_value());
+  EXPECT_EQ(submitted->request_id, id);
+  EXPECT_TRUE(strays.empty());
+
+  network_.send(client.ip_of(0), kServerHost, submitted->serialize());
+  loop_.run();
+  EXPECT_EQ(fired, 1);
+  ASSERT_EQ(strays.size(), 1u);
+  EXPECT_EQ(strays[0].request_id, id);
+  EXPECT_EQ(strays[0].status, common::ErrorCode::kReplay);
+  EXPECT_EQ(server_->stats().rejected_replay, 1u);
+}
+
+TEST_F(TransportTest, SubmissionObserverReportsALostSubmission) {
+  // The request and challenge get through; then the link turns into a
+  // black hole, so the submission is dropped at send. Single-shot, the
+  // request hangs and only the observer can tell.
+  WireClientPool client(loop_, network_, "10.0.3.3", 1, kServerHost);
+  int fired = 0;
+  client.set_response_handler(
+      [&](std::size_t, const Response&, common::Duration) { ++fired; });
+  netsim::LinkModel black_hole;
+  black_hole.loss_rate = 1.0;
+  client.set_challenge_observer([&](std::size_t c, const Challenge&) {
+    network_.set_link(client.ip_of(c), kServerHost, black_hole);
+  });
+  std::vector<bool> sent;
+  std::uint64_t submitted_id = 0;
+  client.set_submission_observer(
+      [&](std::size_t, const Submission& submission, bool was_sent) {
+        sent.push_back(was_sent);
+        submitted_id = submission.request_id;
+      });
+
+  const std::uint64_t id = client.send_request(0, "/", benign_features_);
+  loop_.run();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_FALSE(sent[0]);
+  EXPECT_EQ(submitted_id, id);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(server_->stats().served, 0u);
+}
+
 TEST_F(TransportTest, PowDisabledServerAnswersDirectly) {
   ServerConfig cfg;
   cfg.master_secret = common::bytes_of("transport-secret-2");

@@ -18,6 +18,7 @@ using common::ErrorCode;
 struct Rig {
   common::ManualClock clock;
   PuzzleGenerator generator;
+  std::uint64_t next_key = 1;  ///< request key of the next solved() puzzle
   Verifier verifier;
   Solver solver;
 
@@ -27,7 +28,7 @@ struct Rig {
 
   std::pair<Puzzle, Solution> solved(unsigned difficulty,
                                      const std::string& ip = "1.2.3.4") {
-    const Puzzle p = generator.issue(ip, difficulty);
+    const Puzzle p = generator.issue_for(ip, next_key++, difficulty);
     const SolveResult r = solver.solve(p);
     EXPECT_TRUE(r.found);
     return {p, r.solution};
@@ -78,7 +79,7 @@ TEST(Verifier, RejectsTamperedDifficulty) {
   // Attack: client solves at difficulty 1 then claims the puzzle asked
   // for difficulty 1 when it was issued harder — the MAC catches it.
   Rig rig;
-  const Puzzle hard = rig.generator.issue("1.2.3.4", 12);
+  const Puzzle hard = rig.generator.issue_for("1.2.3.4", 1, 12);
   Puzzle softened = hard;
   softened.difficulty = 1;
   const SolveResult r = rig.solver.solve(softened);
@@ -107,7 +108,7 @@ TEST(Verifier, RejectsCrossServerPuzzle) {
   common::ManualClock clock;
   PuzzleGenerator foreign(clock, common::bytes_of("other-secret"));
   Rig rig;
-  const Puzzle p = foreign.issue("1.2.3.4", 2);
+  const Puzzle p = foreign.issue_for("1.2.3.4", 1, 2);
   const SolveResult r = rig.solver.solve(p);
   ASSERT_TRUE(r.found);
   EXPECT_FALSE(rig.verifier.verify(p, r.solution).ok());
@@ -141,7 +142,7 @@ TEST(Verifier, RejectsFutureTimestampBeyondSkew) {
   common::ManualClock verify_clock;  // at t=0
   PuzzleGenerator gen(issue_clock, common::bytes_of("skew-secret"));
   Verifier verifier(verify_clock, common::bytes_of("skew-secret"));
-  const Puzzle p = gen.issue("1.2.3.4", 2);
+  const Puzzle p = gen.issue_for("1.2.3.4", 1, 2);
   const SolveResult r = Solver{}.solve(p);
   ASSERT_TRUE(r.found);
   const common::Status st = verifier.verify(p, r.solution);
@@ -154,7 +155,7 @@ TEST(Verifier, AcceptsSmallFutureSkew) {
   common::ManualClock verify_clock;  // 2 s behind, within default 5 s skew
   PuzzleGenerator gen(issue_clock, common::bytes_of("skew-secret"));
   Verifier verifier(verify_clock, common::bytes_of("skew-secret"));
-  const Puzzle p = gen.issue("1.2.3.4", 2);
+  const Puzzle p = gen.issue_for("1.2.3.4", 1, 2);
   const SolveResult r = Solver{}.solve(p);
   ASSERT_TRUE(r.found);
   EXPECT_TRUE(verifier.verify(p, r.solution).ok());
@@ -223,7 +224,7 @@ TEST(Verifier, SerializedPuzzleSurvivesVerification) {
   // End-to-end wire trip: serialize puzzle to the "client", solve there,
   // send solution back, verify.
   Rig rig;
-  const Puzzle original = rig.generator.issue("4.5.6.7", 6);
+  const Puzzle original = rig.generator.issue_for("4.5.6.7", 1, 6);
   const auto client_copy = Puzzle::deserialize(original.serialize());
   ASSERT_TRUE(client_copy.has_value());
   const SolveResult r = rig.solver.solve(*client_copy);
