@@ -7,9 +7,9 @@
 //
 // A trailing `json=path` argument (stripped before google-benchmark
 // sees the flags) additionally runs a hand-timed hashes/sec sweep over
-// every supported dispatch backend and writes a bench_diff.py-ready
-// artifact: rows keyed by "case" ("<mode>/<backend>") with a
-// "hashes_per_s" metric. "solver_scalar/generic" is the pre-midstate
+// every supported dispatch backend and writes a JSON artifact for
+// comparing backends by hand: rows keyed by "case" ("<mode>/<backend>")
+// with a "hashes_per_s" metric. "solver_scalar/generic" is the pre-midstate
 // per-attempt cost; "solver_midstate/<backend>" is the single-probe
 // midstate finish; "solver_sweep/<backend>" is the lane-parallel
 // finish_many_with_suffix sweep the solver runs on multi-buffer
@@ -166,8 +166,7 @@ BENCHMARK(BM_HmacDrbgGenerate)->Arg(32)->Arg(256);
 
 // ---------------------------------------------------------------------------
 // json= artifact: hashes/sec per (mode, backend), hand-timed so the
-// numbers feed scripts/bench_diff.py without google-benchmark's output
-// format in between.
+// numbers need no parsing of google-benchmark's output format.
 // ---------------------------------------------------------------------------
 
 struct HashrateRow {

@@ -11,8 +11,7 @@
 // The wall columns double as the solver-throughput headline: the
 // single-thread hashes/sec column (attempts / wall) is what the
 // midstate + dispatch work speeds up, and `json=path` writes it per
-// difficulty as a bench_diff.py artifact ("solve_time", metric
-// hashes_per_s). POWAI_SHA256_BACKEND=generic re-runs the same sweep on
+// difficulty as a JSON artifact ("solve_time", metric hashes_per_s). POWAI_SHA256_BACKEND=generic re-runs the same sweep on
 // the scalar reference for before/after comparisons on one machine.
 //
 // `sweep_json=path` writes a second artifact ("solver_sweep"): for every

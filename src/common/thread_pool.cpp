@@ -5,41 +5,15 @@
 #include <exception>
 #include <memory>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace powai::common {
 
-bool ThreadPool::pin_to_cpu(std::thread& thread, std::size_t cpu) {
-#ifdef __linux__
-  const std::size_t cores =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(cpu % cores), &set);
-  return pthread_setaffinity_np(thread.native_handle(), sizeof(set), &set) ==
-         0;
-#else
-  (void)thread;
-  (void)cpu;
-  return false;
-#endif
-}
-
-ThreadPool::ThreadPool(std::size_t threads, bool pin_workers) {
+ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
-    if (pin_workers) {
-      // Best-effort: a failed affinity call (restricted cpuset, exotic
-      // platform) degrades to an unpinned worker, never to an error.
-      pinned_ = pin_to_cpu(workers_.back(), i) || pinned_;
-    }
   }
 }
 

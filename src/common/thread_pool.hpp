@@ -22,12 +22,8 @@ namespace powai::common {
 class ThreadPool final {
  public:
   /// Spawns \p threads workers; 0 means std::thread::hardware_concurrency
-  /// (and at least 1). With \p pin_workers, worker i is pinned to CPU
-  /// i mod hardware_concurrency (Linux only; silently a no-op
-  /// elsewhere) — affinity keeps a drain/verify worker's cache warm
-  /// under sustained load, at the cost of ceding load balancing to the
-  /// caller's sharding. Default off: correctness never depends on it.
-  explicit ThreadPool(std::size_t threads = 0, bool pin_workers = false);
+  /// (and at least 1).
+  explicit ThreadPool(std::size_t threads = 0);
 
   /// Drains nothing: queued tasks that have not started are discarded;
   /// running tasks are joined.
@@ -37,15 +33,6 @@ class ThreadPool final {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
-
-  /// True when worker pinning was requested *and* the platform applied
-  /// it (always false off Linux).
-  [[nodiscard]] bool pinned() const { return pinned_; }
-
-  /// Pins \p thread to \p cpu mod hardware_concurrency. Returns false
-  /// when the platform has no thread affinity (non-Linux) or the call
-  /// failed. Shared helper for every component with a pinning knob.
-  static bool pin_to_cpu(std::thread& thread, std::size_t cpu);
 
   /// Enqueues \p task for execution on some worker. Tasks must not
   /// throw; an escaping exception terminates the process.
@@ -66,7 +53,6 @@ class ThreadPool final {
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stopping_ = false;
-  bool pinned_ = false;
   std::vector<std::thread> workers_;
 };
 

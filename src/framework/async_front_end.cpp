@@ -89,11 +89,6 @@ AsyncFrontEnd::AsyncFrontEnd(netsim::EventLoop& loop, netsim::Network& network,
   drains_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
     drains_.emplace_back([this, i] { drain_loop(i); });
-    if (config_.pin_drains) {
-      // Best-effort (see ThreadPool::pin_to_cpu): an unpinnable drain
-      // just floats, it never fails construction.
-      (void)common::ThreadPool::pin_to_cpu(drains_.back(), i);
-    }
   }
 }
 

@@ -91,12 +91,6 @@ struct AsyncFrontEndConfig final {
   /// deterministic backlog first.
   bool start_paused = false;
 
-  /// Pin drain thread s to CPU s mod hardware_concurrency (Linux only;
-  /// a silent no-op elsewhere). Affinity plus source-keyed sharding
-  /// keeps a client's messages on one warm core. Purely a performance
-  /// knob: totals and histories are identical either way. Default off.
-  bool pin_drains = false;
-
   /// Arm a stall watchdog over the drain threads: busy (non-empty
   /// queues) without any drain making progress for longer than this
   /// flags a stall (see watchdog.hpp). Zero = off. Wall-clock

@@ -31,18 +31,22 @@ enum class MessageType : std::uint8_t {
   kResponse = 4,
 };
 
-/// Step 1: the client's HTTP request. `features` models what the
-/// server-side traffic observer extracted for this source IP (see
-/// DESIGN.md §2 on the feature substitution).
+/// Step 1: the client's HTTP request. `features` models what a
+/// server-side traffic observer extracts for this source IP; the schema
+/// and its synthetic data stand in for the commercial threat-feed
+/// attributes DAbR was trained on (see feature_vector.hpp and
+/// synthetic.hpp).
 struct Request final {
   std::string client_ip;
   std::string path = "/";
   features::FeatureVector features;
   std::uint64_t request_id = 0;  ///< client-chosen correlation id
   /// Absolute deadline in server sim-time milliseconds (0 = none set;
-  /// the server substitutes `ServerConfig::default_deadline`). Work
-  /// whose deadline has passed is shed at every stage — queue pop,
-  /// pre-scoring, pre-verification — instead of being served late.
+  /// the server substitutes arrival + `ServerConfig::default_deadline`).
+  /// When that default is configured, a later deadline is clamped to
+  /// arrival + default_deadline. Work whose deadline has passed is shed
+  /// at every stage — queue pop, pre-scoring, pre-verification — instead
+  /// of being served late.
   std::int64_t deadline_ms = 0;
 
   [[nodiscard]] common::Bytes serialize() const;

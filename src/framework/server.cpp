@@ -103,11 +103,14 @@ void PowServer::note_queue_sojourn(std::int64_t now_ms, double sojourn_ms) {
 
 std::int64_t PowServer::effective_deadline_ms(std::int64_t deadline_ms,
                                               std::int64_t arrival_ms) const {
-  if (deadline_ms != 0) return deadline_ms;
-  if (config_.default_deadline <= common::Duration::zero()) return 0;
-  return arrival_ms + std::chrono::duration_cast<std::chrono::milliseconds>(
-                          config_.default_deadline)
-                          .count();
+  if (config_.default_deadline <= common::Duration::zero()) return deadline_ms;
+  const std::int64_t latest =
+      arrival_ms + std::chrono::duration_cast<std::chrono::milliseconds>(
+                       config_.default_deadline)
+                       .count();
+  // The client's deadline is only trusted to be earlier: a far-future
+  // one would otherwise exempt the message from deadline shedding.
+  return deadline_ms != 0 ? std::min(deadline_ms, latest) : latest;
 }
 
 std::uint32_t PowServer::retry_after_hint_ms() const {
@@ -126,8 +129,7 @@ Response PowServer::shed_response(std::uint64_t request_id,
 
 common::ThreadPool& PowServer::ensure_pool() {
   std::call_once(pool_once_, [this] {
-    pool_ = std::make_unique<common::ThreadPool>(config_.verify_threads,
-                                                 config_.pin_verify_threads);
+    pool_ = std::make_unique<common::ThreadPool>(config_.verify_threads);
   });
   return *pool_;
 }

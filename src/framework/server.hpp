@@ -83,11 +83,6 @@ struct ServerConfig final {
   /// one message at a time never spawn threads.
   std::size_t verify_threads = 0;
 
-  /// Pin verify worker i to CPU i mod hardware_concurrency (Linux only;
-  /// silently a no-op elsewhere). A performance knob for dedicated
-  /// machines — determinism and totals never depend on it. Default off.
-  bool pin_verify_threads = false;
-
   /// Hard per-IP ceiling on challenge issuance.
   bool rate_limiter_enabled = false;
   RateLimiterConfig rate_limiter;
@@ -103,11 +98,13 @@ struct ServerConfig final {
   /// arrival order. Fixed default keeps experiments reproducible.
   std::uint64_t policy_seed = 0x9069'0ce5'7a37'b00fULL;
 
-  /// Deadline substituted for requests that set none (Request.deadline_ms
-  /// == 0): effective deadline = arrival time + default_deadline. Zero
-  /// (the default) disables the substitution, so requests without a
-  /// deadline are never shed — existing behavior is unchanged until a
-  /// deployment opts in.
+  /// Latest deadline the server grants a message, counted from its
+  /// arrival. A message that sets no deadline (deadline_ms == 0) gets
+  /// arrival + default_deadline; one that sets a later deadline is
+  /// clamped to it, so a client cannot exempt its work from deadline
+  /// shedding by asking for a far-future deadline. Zero (the default)
+  /// disables both: messages without a deadline are never shed and
+  /// client deadlines are taken as sent.
   common::Duration default_deadline{0};
 
   /// Overload degradation ladder (disabled by default; see degrade.hpp).
@@ -234,8 +231,10 @@ class PowServer final {
   void note_queue_sojourn(std::int64_t now_ms, double sojourn_ms);
 
   /// The effective absolute deadline for a message carrying
-  /// \p deadline_ms (0 = unset → arrival + default_deadline, or 0 when
-  /// no default is configured). \p arrival_ms is the reference instant.
+  /// \p deadline_ms, arriving at \p arrival_ms. With a default_deadline
+  /// configured it is min(\p deadline_ms, arrival + default_deadline),
+  /// or the latter when \p deadline_ms is 0 (unset); without one it is
+  /// \p deadline_ms unchanged (0 = never shed).
   [[nodiscard]] std::int64_t effective_deadline_ms(
       std::int64_t deadline_ms, std::int64_t arrival_ms) const;
 

@@ -2,16 +2,31 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 
 #include "framework/client.hpp"
 #include "framework/transport.hpp"
+#include "netsim/link.hpp"
 #include "netsim/network.hpp"
 
 namespace powai::sim {
+
+namespace {
+/// The fixed shape of every load run (see LoadHarnessConfig and
+/// WireLoadConfig).
+constexpr const char* kPath = "/";
+constexpr const char* kServerHost = "198.51.100.250";
+constexpr std::uint64_t kNetSeed = 17;
+constexpr std::uint64_t kPopulationSeed = 1;
+constexpr double kClientHashCostUs = 38.0;
+constexpr netsim::LinkModel kLink{
+    .base_latency = std::chrono::milliseconds(15),
+    .jitter = common::Duration::zero(),
+    .bandwidth_bytes_per_sec = 0.0,
+    .loss_rate = 0.0};
+}  // namespace
 
 double LoadReport::issued_per_s() const {
   return wall_s > 0.0
@@ -131,10 +146,8 @@ LoadReport LoadHarness::run(
   threads.reserve(config_.client_threads);
   for (std::size_t t = 0; t < config_.client_threads; ++t) {
     threads.emplace_back([this, t, &features, &tallies, &histories, &go] {
-      framework::ClientConfig cc;
-      cc.solver_threads = config_.solver_threads;
-      cc.max_attempts = config_.solver_max_attempts;
-      framework::PowClient client(load_client_ip(t), cc);
+      // Default client: one solver thread, no attempt budget.
+      framework::PowClient client(load_client_ip(t));
       const features::FeatureVector& fv = features[t % features.size()];
       Tally& tally = tallies[t];
       if (config_.capture_history) {
@@ -142,8 +155,7 @@ LoadReport LoadHarness::run(
       }
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (std::size_t i = 0; i < config_.requests_per_client; ++i) {
-        const framework::RoundTrip trip =
-            client.run(*server_, config_.path, fv);
+        const framework::RoundTrip trip = client.run(*server_, kPath, fv);
         ++tally.round_trips;
         tally.attempts += trip.attempts;
         if (trip.served) {
@@ -204,9 +216,9 @@ WireLoadReport run_wire_load(const reputation::IReputationModel& model,
   }
 
   netsim::EventLoop loop;
-  common::Rng net_rng(cfg.net_seed);
+  common::Rng net_rng(kNetSeed);
   netsim::Network network(loop, net_rng);
-  network.set_default_link(cfg.link);
+  network.set_default_link(kLink);
 
   framework::PowServer server(loop.clock(), model, policy,
                               std::move(server_cfg));
@@ -217,12 +229,12 @@ WireLoadReport run_wire_load(const reputation::IReputationModel& model,
   std::unique_ptr<framework::ServerEndpoint> endpoint;
   if (cfg.async) {
     front_end = std::make_unique<framework::AsyncFrontEnd>(
-        loop, network, cfg.server_host, server, cfg.front_end);
+        loop, network, kServerHost, server, cfg.front_end);
     endpoint = std::make_unique<framework::ServerEndpoint>(
-        network, cfg.server_host, server, *front_end);
+        network, kServerHost, server, *front_end);
   } else {
     endpoint = std::make_unique<framework::ServerEndpoint>(
-        network, cfg.server_host, server);
+        network, kServerHost, server);
   }
 
   WireLoadReport report;
@@ -236,16 +248,7 @@ WireLoadReport run_wire_load(const reputation::IReputationModel& model,
   // O(1) simulation state per client, which is what reaches 10^5-10^6
   // clients. Client i lives at load_client_ip(i) == 10.0.0.0 + i.
   framework::WireClientPool pool(loop, network, load_client_ip(0),
-                                 cfg.clients, cfg.server_host,
-                                 cfg.client_hash_cost_us);
-  if (cfg.retry.enabled) {
-    // Resends rebuild the identical payload from the request source, so
-    // the retried request converges on the same puzzle id server-side.
-    pool.set_retry_policy(
-        cfg.retry, [&features, path = cfg.path](std::size_t client) {
-          return std::make_pair(path, features[client % features.size()]);
-        });
-  }
+                                 cfg.clients, kServerHost, kClientHashCostUs);
 
   // Optional heavy-tailed think time between one client's exchanges.
   std::unique_ptr<ClientPopulation> population;
@@ -253,7 +256,7 @@ WireLoadReport run_wire_load(const reputation::IReputationModel& model,
     PopulationConfig pc;
     pc.clients = cfg.clients;
     pc.base_ip = load_client_ip(0);
-    pc.seed = cfg.population_seed;
+    pc.seed = kPopulationSeed;
     pc.arrivals = cfg.arrivals;
     pc.weight_alpha = cfg.weight_alpha;
     population = std::make_unique<ClientPopulation>(std::move(pc));
@@ -262,8 +265,8 @@ WireLoadReport run_wire_load(const reputation::IReputationModel& model,
   // Per-client driver state. The pending record mirrors what
   // capture_history keeps in the history tail, so fingerprints fold the
   // exact records a history run would store — including a challenged
-  // record left unanswered by a lossy link (folded at the end with its
-  // default outcome, as the history path would record it).
+  // record left unanswered (folded at the end with its default outcome,
+  // as the history path would record it).
   struct ClientState {
     std::size_t sent = 0;
     IssueRecord pending;
@@ -298,30 +301,22 @@ WireLoadReport run_wire_load(const reputation::IReputationModel& model,
   const common::TimePoint sim_start = loop.now();
 
   // Closed loop: each response triggers the client's next request —
-  // immediately, or after the population's think-time gap when paced. A
-  // request dropped by a lossy link also moves on — otherwise one lost
-  // message would stall that client forever.
-  std::function<void(std::size_t)> kick = [&](std::size_t ci) {
+  // immediately, or after the population's think-time gap when paced.
+  // The link never drops a message, so every request is answered.
+  const auto send = [&](std::size_t ci) {
+    ++report.sent;
+    pool.send_request(ci, kPath, features[ci % features.size()]);
+  };
+  const auto kick = [&](std::size_t ci) {
     ClientState& state = clients[ci];
-    while (state.sent < cfg.requests_per_client) {
-      const std::uint64_t ordinal = state.sent++;
-      if (population) {
-        const double now_ms =
-            common::to_millis_f(loop.now().time_since_epoch());
-        loop.schedule_in(
-            population->gap_before(ci, ordinal, now_ms), [&, ci] {
-              ++report.sent;
-              if (pool.send_request(ci, cfg.path,
-                                    features[ci % features.size()]) == 0) {
-                kick(ci);  // dropped by the link; move on
-              }
-            });
-        return;  // the response (or drop) continues the loop
-      }
-      ++report.sent;
-      const std::uint64_t id =
-          pool.send_request(ci, cfg.path, features[ci % features.size()]);
-      if (id != 0) return;  // in flight; the callback continues the loop
+    if (state.sent == cfg.requests_per_client) return;
+    const std::uint64_t ordinal = state.sent++;
+    if (population) {
+      const double now_ms = common::to_millis_f(loop.now().time_since_epoch());
+      loop.schedule_in(population->gap_before(ci, ordinal, now_ms),
+                       [&send, ci] { send(ci); });
+    } else {
+      send(ci);
     }
   };
 
@@ -371,7 +366,6 @@ WireLoadReport run_wire_load(const reputation::IReputationModel& model,
 
   for (std::size_t i = 0; i < cfg.clients; ++i) kick(i);
 
-  const auto t0 = std::chrono::steady_clock::now();
   if (cfg.async && cfg.front_end.start_paused) {
     // Staged mode: play the wire against the paused drain first, so the
     // initial pile-up (and every overload total) is deterministic, then
@@ -379,21 +373,16 @@ WireLoadReport run_wire_load(const reputation::IReputationModel& model,
     report.events = loop.run();
   }
   report.events += cfg.async ? front_end->run_until_idle() : loop.run();
-  const auto t1 = std::chrono::steady_clock::now();
 
-  report.wall_s = std::chrono::duration<double>(t1 - t0).count();
   report.sim_elapsed = loop.now() - sim_start;
   report.unanswered = report.sent - report.answered;
   report.messages_sent = network.messages_sent();
   report.server_delta = server.stats() - before;
-  if (front_end) {
-    report.front_end = front_end->stats();
-    report.watchdog_stalls = front_end->watchdog_stats().stalls;
-  }
+  if (front_end) report.front_end = front_end->stats();
 
   if (cfg.capture_fingerprints) {
-    // Challenges whose response was lost stay pending; fold them with
-    // their default outcome, exactly as the history path records them.
+    // A challenge whose response never came stays pending; fold it with
+    // its default outcome, exactly as the history path records it.
     for (std::size_t i = 0; i < cfg.clients; ++i) {
       if (clients[i].has_pending) {
         report.history_fingerprints[i] = fold_issue_record(

@@ -1,17 +1,23 @@
 #pragma once
 /// \file load_harness.hpp
-/// Closed-loop end-to-end load generators, two flavors:
+/// Closed-loop end-to-end load drivers for tests and examples, two
+/// flavors:
 ///
 /// - LoadHarness: N real client threads call the PowServer entry points
-///   directly (no wire) — shard contention, the atomic stats block, and
-///   solver cost all show up in the numbers. Used by
-///   bench/bench_server_load.cpp and tests/test_concurrent_server.cpp.
+///   directly (no wire), so shard contention, the atomic stats block and
+///   solver cost are all exercised. Used by
+///   tests/test_concurrent_server.cpp, tests/test_determinism.cpp and
+///   examples/concurrent_issuance.cpp.
 /// - run_wire_load: the same closed loop as *encoded bytes over the
 ///   simulated network*, through either the synchronous ServerEndpoint
 ///   path or the AsyncFrontEnd batch bridge. The two transports must
-///   produce identical totals, which is the invariant
-///   tests/test_async_front_end.cpp pins and bench/bench_wire_load.cpp
-///   measures the cost of.
+///   produce identical totals and histories, which
+///   tests/test_async_front_end.cpp, tests/test_determinism.cpp and
+///   tests/test_scale.cpp pin.
+///
+/// Neither is a benchmark: the repository's load benchmark is
+/// powai_bench (bench/suite/README.md), which builds its own wire stack
+/// so it can time each request.
 
 #include <cstddef>
 #include <cstdint>
@@ -21,9 +27,7 @@
 #include "features/feature_vector.hpp"
 #include "framework/async_front_end.hpp"
 #include "framework/client.hpp"
-#include "framework/retry.hpp"
 #include "framework/server.hpp"
-#include "netsim/link.hpp"
 #include "policy/policy.hpp"
 #include "reputation/model.hpp"
 #include "sim/population.hpp"
@@ -80,22 +84,15 @@ inline constexpr std::uint64_t kFingerprintSeed = 0xcbf29ce484222325ULL;
 [[nodiscard]] IssueRecord make_issue_record(
     const framework::Challenge& challenge);
 
+/// In-process run shape. Every client requests path "/" and solves each
+/// puzzle to completion on one solver thread.
 struct LoadHarnessConfig final {
   std::size_t client_threads = 4;
   std::size_t requests_per_client = 64;
 
-  /// Solver threads per client; keep 1 when client_threads already
-  /// covers the cores, or the solvers fight each other.
-  unsigned solver_threads = 1;
-
-  /// Client-side attempt budget per puzzle (0 = solve to completion).
-  std::uint64_t solver_max_attempts = 0;
-
   /// Record per-client IssueRecord histories into LoadReport::histories
   /// (off by default).
   bool capture_history = false;
-
-  std::string path = "/";
 };
 
 /// Aggregate outcome of one load run. Client-side tallies and the
@@ -162,10 +159,11 @@ class LoadHarness final {
 // Wire mode
 // ---------------------------------------------------------------------------
 
-/// Wire-mode run shape. The default link is deterministic (fixed 15 ms,
-/// no jitter, no loss) so a synchronous and an asynchronous run of the
-/// same configuration produce identical totals; dial jitter/loss back in
-/// for robustness experiments where exact matching is not the point.
+/// Wire-mode run shape. The link is fixed and deterministic (15 ms, no
+/// jitter, no loss), so a synchronous and an asynchronous run of the
+/// same configuration produce identical totals and histories. Clients
+/// request path "/" from 198.51.100.250, model 38 µs per hash, and do
+/// not retry; the population seed (when paced) is 1.
 struct WireLoadConfig final {
   std::size_t clients = 4;
   std::size_t requests_per_client = 8;
@@ -194,32 +192,14 @@ struct WireLoadConfig final {
   /// ClientPopulation::gap_before(i, n, now) after its previous exchange
   /// finished (think time) instead of firing back-to-back — the knob
   /// that turns the closed loop into a heavy-tailed open-ish load.
-  /// Gaps and weights derive from population_seed, so paced runs keep
-  /// the same determinism contract as unpaced ones.
+  /// Gaps and weights derive from a fixed population seed, so paced
+  /// runs keep the same determinism contract as unpaced ones.
   bool pace_arrivals = false;
   ArrivalConfig arrivals;
 
   /// Heavy-tailed per-client activity (see PopulationConfig);
   /// 0 = uniform. Only meaningful with pace_arrivals.
   double weight_alpha = 0.0;
-  std::uint64_t population_seed = 1;
-
-  /// Modelled per-hash client solve cost (see WireClientPool).
-  double client_hash_cost_us = 38.0;
-
-  /// Client retry/timeout/backoff (disabled by default). When enabled
-  /// the pool stamps request deadlines, re-sends shed or lost exchanges
-  /// with deterministic jittered backoff, and resolves exhausted
-  /// attempts as kTimeout — the overload bench mode's client half.
-  framework::RetryPolicy retry;
-
-  netsim::LinkModel link{.base_latency = std::chrono::milliseconds(15),
-                         .jitter = common::Duration::zero(),
-                         .bandwidth_bytes_per_sec = 0.0,
-                         .loss_rate = 0.0};
-  std::uint64_t net_seed = 17;
-  std::string path = "/";
-  std::string server_host = "198.51.100.250";
 };
 
 /// Outcome of one wire-mode run. Client-side tallies (what responses
@@ -231,10 +211,9 @@ struct WireLoadReport final {
   std::uint64_t served = 0;      ///< … with kOk
   std::uint64_t overloaded = 0;  ///< … with kUnavailable (backpressure)
   std::uint64_t rejected = 0;    ///< … with any other error
-  std::uint64_t unanswered = 0;  ///< dropped on the wire (lossy links only)
+  std::uint64_t unanswered = 0;  ///< sent but never answered
   std::uint64_t events = 0;      ///< loop events executed
   common::Duration sim_elapsed{};  ///< simulated duration of the run
-  double wall_s = 0.0;             ///< real time the run took
   std::uint64_t messages_sent = 0;  ///< wire messages (all four legs)
   std::uint64_t clients = 0;        ///< population size of this run
 
@@ -247,9 +226,6 @@ struct WireLoadReport final {
 
   framework::ServerStats server_delta;
   framework::FrontEndStats front_end;  ///< zeros in synchronous mode
-  /// Drain-stall episodes the watchdog flagged (async mode with
-  /// front_end.watchdog_stall > 0 only; wall-clock, diagnostics).
-  std::uint64_t watchdog_stalls = 0;
 
   /// Per-client histories (index = client), populated only when
   /// WireLoadConfig::capture_history is set. Identical across sync,
@@ -262,9 +238,6 @@ struct WireLoadReport final {
   /// determinism contract as histories at a millionth the memory.
   std::vector<std::uint64_t> history_fingerprints;
 
-  [[nodiscard]] double answered_per_wall_s() const {
-    return wall_s > 0.0 ? static_cast<double>(answered) / wall_s : 0.0;
-  }
   /// Server-side resident bytes per client (0 when clients == 0).
   [[nodiscard]] double server_bytes_per_client() const {
     return clients > 0 ? static_cast<double>(server_memory_bytes) /

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -343,40 +344,6 @@ TEST_F(AsyncFrontEndTest, ShardedDrainMatchesSingleDrainExactly) {
   EXPECT_EQ(four.server_delta.difficulty_sum, one.server_delta.difficulty_sum);
 }
 
-TEST_F(AsyncFrontEndTest, PinnedDrainsAndWorkersChangeNothing) {
-  // Affinity is a pure performance knob: a run with drains and verify
-  // workers pinned must be indistinguishable — totals, conversation,
-  // simulated duration, per-client fingerprints — from an unpinned one.
-  const features::SyntheticTraceGenerator gen;
-  common::Rng frng(47);
-  std::vector<features::FeatureVector> features;
-  for (int i = 0; i < 4; ++i) features.push_back(gen.sample(i % 2 == 1, frng));
-
-  const auto run = [&](bool pin) {
-    ServerConfig cfg;
-    cfg.master_secret = common::bytes_of("pin-match-secret");
-    cfg.verify_threads = 2;
-    cfg.pin_verify_threads = pin;
-    sim::WireLoadConfig wc;
-    wc.clients = 5;
-    wc.requests_per_client = 4;
-    wc.async = true;
-    wc.front_end.max_batch = 3;
-    wc.front_end.drain_shards = 2;
-    wc.front_end.pin_drains = pin;
-    wc.capture_fingerprints = true;
-    return sim::run_wire_load(model_, policy_, cfg, features, wc);
-  };
-
-  const sim::WireLoadReport floating = run(false);
-  const sim::WireLoadReport pinned = run(true);
-  EXPECT_EQ(pinned.answered, floating.answered);
-  EXPECT_EQ(pinned.served, floating.served);
-  EXPECT_EQ(pinned.messages_sent, floating.messages_sent);
-  EXPECT_EQ(pinned.sim_elapsed, floating.sim_elapsed);
-  EXPECT_EQ(pinned.history_fingerprints, floating.history_fingerprints);
-}
-
 TEST_F(AsyncFrontEndTest, ShardConfigValidated) {
   // Raw front ends (no endpoint — the network host can register once).
   AsyncFrontEndConfig cfg;
@@ -481,6 +448,52 @@ TEST_F(AsyncFrontEndTest, QueuePopShedsDeadlinesThatExpireWhileQueued) {
   EXPECT_EQ(delta.shed_queue_requests, 1u);
   EXPECT_EQ(delta.shed_deadline_requests, 1u);
   EXPECT_EQ(delta.challenges_issued, 0u);  // dead work never scored
+}
+
+TEST_F(AsyncFrontEndTest, FarFutureClientDeadlineIsStillShedInQueue) {
+  // The client stamps the latest representable deadline; the server's
+  // default_deadline caps it at admission, so a request that waits in
+  // the queue past arrival + default_deadline is shed like any other.
+  ServerConfig server_cfg;
+  server_cfg.master_secret = common::bytes_of("async-front-end-secret");
+  server_cfg.default_deadline = 20ms;
+  server_ = std::make_unique<PowServer>(loop_.clock(), model_, policy_,
+                                        server_cfg);
+  AsyncFrontEndConfig cfg;
+  cfg.start_paused = true;
+  build_front_end(cfg);
+
+  std::optional<Response> answer;
+  std::size_t challenges = 0;
+  network_.add_host("10.0.5.2", [&](const std::string&, common::BytesView p) {
+    const auto msg = decode(p);
+    if (!msg.has_value()) return;
+    if (const auto* r = std::get_if<Response>(&*msg)) {
+      answer = *r;
+    } else {
+      ++challenges;
+    }
+  });
+
+  const ServerStats before = server_->stats();
+  Request request;
+  request.client_ip = "10.0.5.2";
+  request.features = benign_features_;
+  request.request_id = 1;
+  request.deadline_ms = std::numeric_limits<std::int64_t>::max();
+  (void)network_.send("10.0.5.2", kServerHost, request.serialize());
+  loop_.run();  // queued while the drain is paused
+  loop_.schedule_in(100ms, [] {});
+  loop_.run();  // wait well past arrival + default_deadline
+  front_end_->run_until_idle();
+
+  EXPECT_EQ(challenges, 0u);
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_EQ(answer->status, common::ErrorCode::kUnavailable);
+  EXPECT_EQ(answer->body, "deadline expired in queue");
+  const ServerStats delta = server_->stats() - before;
+  EXPECT_EQ(delta.shed_queue_requests, 1u);
+  EXPECT_EQ(delta.challenges_issued, 0u);
 }
 
 TEST_F(AsyncFrontEndTest, ExpiredSubmissionsUnderShardedDrainCountExactly) {

@@ -244,6 +244,33 @@ TEST_F(ServerTest, WholeBatchExpiredRejectsEverySubmission) {
   EXPECT_EQ(delta.served, 0u);
 }
 
+TEST_F(ServerTest, DefaultDeadlineCapsAFarFutureClientDeadline) {
+  // A client-chosen deadline is trusted only to be earlier than the
+  // server's default: a far-future stamp is clamped to arrival +
+  // default_deadline, so it cannot exempt the request from shedding.
+  ServerConfig cfg = base_config();
+  cfg.default_deadline = 2s;
+  const PowServer server(clock_, model_, policy_, cfg);
+  constexpr std::int64_t kArrival = 10'000;
+  constexpr std::int64_t kFarFuture = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(server.effective_deadline_ms(kFarFuture, kArrival),
+            kArrival + 2'000);
+  EXPECT_EQ(server.effective_deadline_ms(kArrival + 2'001, kArrival),
+            kArrival + 2'000);
+  // Unset, or earlier than the cap: unchanged semantics.
+  EXPECT_EQ(server.effective_deadline_ms(0, kArrival), kArrival + 2'000);
+  EXPECT_EQ(server.effective_deadline_ms(kArrival + 500, kArrival),
+            kArrival + 500);
+  EXPECT_EQ(server.effective_deadline_ms(kArrival - 1, kArrival),
+            kArrival - 1);
+
+  // Without a default the client's deadline is taken as sent.
+  const PowServer open_server(clock_, model_, policy_, base_config());
+  EXPECT_EQ(open_server.effective_deadline_ms(kFarFuture, kArrival),
+            kFarFuture);
+  EXPECT_EQ(open_server.effective_deadline_ms(0, kArrival), 0);
+}
+
 TEST_F(ServerTest, BadNonceRejected) {
   PowServer server(clock_, model_, policy_, base_config());
   PowClient client("10.0.0.1");

@@ -42,29 +42,6 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, PinnedWorkersStillCoverEveryIndex) {
-  // Pinning is a performance knob — behavior must be identical. On
-  // Linux the affinity call should take; elsewhere it degrades to an
-  // unpinned (but fully functional) pool.
-  ThreadPool pool(4, /*pin_workers=*/true);
-#ifdef __linux__
-  EXPECT_TRUE(pool.pinned());
-#else
-  EXPECT_FALSE(pool.pinned());
-#endif
-  constexpr std::size_t kN = 4096;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, UnpinnedByDefault) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.pinned());
-}
-
 TEST(ThreadPool, ParallelForEmptyRangeIsANoop) {
   ThreadPool pool(2);
   pool.parallel_for(0, [](std::size_t) { FAIL() << "body must not run"; });
