@@ -144,6 +144,19 @@ void BM_HmacSha256(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
 
+// The issuer's and verifier's form: the key absorbed once, each MAC
+// compressing only the message and one outer block.
+void BM_HmacSha256CachedKey(benchmark::State& state) {
+  const crypto::HmacKey key(common::bytes_of("bench-key"));
+  const common::Bytes data = make_input(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::hmac_sha256(key, data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_HmacSha256CachedKey)->Arg(64)->Arg(1024);
+
 void BM_SipHash24(benchmark::State& state) {
   crypto::SipKey key{};
   for (std::uint8_t i = 0; i < 16; ++i) key[i] = i;
@@ -156,13 +169,18 @@ void BM_SipHash24(benchmark::State& state) {
 }
 BENCHMARK(BM_SipHash24)->Arg(16)->Arg(64)->Arg(1024);
 
-void BM_HmacDrbgGenerate(benchmark::State& state) {
-  crypto::HmacDrbg drbg(common::bytes_of("bench-entropy"));
+// One per-id draw: the population build's next_u64 (8) and a puzzle
+// seed (32), each a full instantiate + generate.
+void BM_DerivedDrbgGenerate(benchmark::State& state) {
+  const crypto::DerivedDrbg family(common::bytes_of("bench-entropy"),
+                                   common::bytes_of("powai-seed-drbg"));
+  std::uint64_t id = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(drbg.generate(static_cast<std::size_t>(state.range(0))));
+    benchmark::DoNotOptimize(
+        family.generate(id++, static_cast<std::size_t>(state.range(0))));
   }
 }
-BENCHMARK(BM_HmacDrbgGenerate)->Arg(32)->Arg(256);
+BENCHMARK(BM_DerivedDrbgGenerate)->Arg(8)->Arg(32);
 
 // ---------------------------------------------------------------------------
 // json= artifact: hashes/sec per (mode, backend), hand-timed so the

@@ -72,9 +72,8 @@ int main(int argc, char** argv) {
 
   std::printf("\n%zu client threads x %zu round trips in %.3f s\n", clients,
               requests, report.wall_s);
-  std::printf("  served=%llu timeouts=%llu rate-limited=%llu other=%llu\n",
+  std::printf("  served=%llu rate-limited=%llu other=%llu\n",
               static_cast<unsigned long long>(report.served),
-              static_cast<unsigned long long>(report.solve_timeouts),
               static_cast<unsigned long long>(report.rate_limited),
               static_cast<unsigned long long>(report.rejected_other));
   std::printf("  issuance: %.0f challenges/s, service: %.0f resources/s\n",

@@ -20,7 +20,7 @@ namespace powai::common {
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state);
 
 /// xoshiro256++ deterministic PRNG (not cryptographic — see
-/// crypto::HmacDrbg for security-relevant randomness).
+/// crypto::DerivedDrbg for security-relevant randomness).
 class Rng final {
  public:
   using result_type = std::uint64_t;

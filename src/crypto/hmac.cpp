@@ -7,6 +7,15 @@ namespace powai::crypto {
 
 namespace {
 
+/// The midstate after one block of `key_block ^ pad`.
+Sha256Midstate absorb_padded(
+    const std::array<std::uint8_t, Sha256::kBlockSize>& key_block,
+    std::uint8_t pad) {
+  std::array<std::uint8_t, Sha256::kBlockSize> block{};
+  for (std::size_t i = 0; i < block.size(); ++i) block[i] = key_block[i] ^ pad;
+  return Sha256::precompute(block);
+}
+
 /// Prepares the padded key block: hash keys longer than the block size,
 /// zero-pad to exactly one block.
 std::array<std::uint8_t, Sha256::kBlockSize> normalize_key(
@@ -23,30 +32,20 @@ std::array<std::uint8_t, Sha256::kBlockSize> normalize_key(
 
 }  // namespace
 
-HmacSha256::HmacSha256(common::BytesView key) {
+HmacKey::HmacKey(common::BytesView key) {
   const auto key_block = normalize_key(key);
-  std::array<std::uint8_t, Sha256::kBlockSize> ipad_key{};
-  for (std::size_t i = 0; i < key_block.size(); ++i) {
-    ipad_key[i] = key_block[i] ^ 0x36;
-    opad_key_[i] = key_block[i] ^ 0x5c;
-  }
-  inner_.update(common::BytesView(ipad_key.data(), ipad_key.size()));
+  inner = absorb_padded(key_block, 0x36);
+  outer = absorb_padded(key_block, 0x5c);
 }
 
-void HmacSha256::update(common::BytesView data) { inner_.update(data); }
-
-Digest HmacSha256::finish() {
-  const Digest inner_digest = inner_.finish();
-  Sha256 outer;
-  outer.update(common::BytesView(opad_key_.data(), opad_key_.size()));
-  outer.update(common::BytesView(inner_digest.data(), inner_digest.size()));
-  return outer.finish();
+Digest hmac_sha256(const HmacKey& key, common::BytesView a,
+                   common::BytesView b) {
+  const Digest inner = Sha256::finish_with_suffix(key.inner, a, b);
+  return Sha256::finish_with_suffix(key.outer, inner, {});
 }
 
 Digest hmac_sha256(common::BytesView key, common::BytesView message) {
-  HmacSha256 mac(key);
-  mac.update(message);
-  return mac.finish();
+  return hmac_sha256(HmacKey(key), message);
 }
 
 common::Bytes derive_key(common::BytesView key, common::BytesView info,
@@ -55,11 +54,9 @@ common::Bytes derive_key(common::BytesView key, common::BytesView info,
     throw std::invalid_argument("derive_key: n must be in [1, 32]");
   }
   // HKDF-Expand with a single block: T(1) = HMAC(key, info || 0x01).
-  HmacSha256 mac(key);
-  mac.update(info);
   const std::uint8_t counter = 0x01;
-  mac.update(common::BytesView(&counter, 1));
-  const Digest t1 = mac.finish();
+  const Digest t1 =
+      hmac_sha256(HmacKey(key), info, common::BytesView(&counter, 1));
   return common::Bytes(t1.begin(), t1.begin() + static_cast<std::ptrdiff_t>(n));
 }
 

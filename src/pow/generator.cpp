@@ -1,5 +1,6 @@
 #include "pow/generator.hpp"
 
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -29,40 +30,48 @@ PuzzleGenerator::PuzzleGenerator(const common::Clock& clock,
   std::memcpy(id_key_.data(), id_key.data(), id_key_.size());
 }
 
-common::Bytes PuzzleGenerator::derive_mac_key(common::BytesView master_secret) {
+crypto::HmacKey PuzzleGenerator::derive_mac_key(
+    common::BytesView master_secret) {
   if (master_secret.empty()) {
     throw std::invalid_argument("derive_mac_key: empty master secret");
   }
-  return crypto::derive_key(master_secret, common::bytes_of("mac"), 32);
+  return crypto::HmacKey(
+      crypto::derive_key(master_secret, common::bytes_of("mac"), 32));
 }
 
-crypto::Digest PuzzleGenerator::compute_auth(common::BytesView mac_key,
+crypto::Digest PuzzleGenerator::compute_auth(const crypto::HmacKey& mac_key,
                                              const Puzzle& puzzle) {
   return compute_auth(mac_key, puzzle.prefix_bytes(), puzzle.puzzle_id);
 }
 
-crypto::Digest PuzzleGenerator::compute_auth(common::BytesView mac_key,
+crypto::Digest PuzzleGenerator::compute_auth(const crypto::HmacKey& mac_key,
                                              common::BytesView prefix,
                                              std::uint64_t puzzle_id) {
-  // Streams mac_input() = prefix || u64be(id) without materializing it.
-  crypto::HmacSha256 mac(mac_key);
-  mac.update(prefix);
+  // mac_input() = prefix || u64be(id), without materializing it.
   std::uint8_t id_be[8];
   common::store_u64be(id_be, puzzle_id);
-  mac.update(common::BytesView(id_be, 8));
-  return mac.finish();
+  return crypto::hmac_sha256(mac_key, prefix, common::BytesView(id_be, 8));
 }
 
 std::uint64_t PuzzleGenerator::derive_puzzle_id(
     const std::string& client_ip, std::uint64_t request_key) const {
   // Fixed-width prefix (domain || key) before the variable-length ip, so
-  // no two distinct (key, ip) pairs serialize identically.
-  common::Bytes material;
-  material.reserve(9 + client_ip.size());
-  material.push_back(kKeyedDomain);
-  common::append_u64be(material, request_key);
-  common::append(material, common::bytes_of(client_ip));
-  return crypto::siphash24(id_key_, material);
+  // no two distinct (key, ip) pairs serialize identically. Built on the
+  // stack; only an ip longer than any textual address takes the heap.
+  constexpr std::size_t kHead = 9;
+  constexpr std::size_t kInlineIp = 64;
+  std::array<std::uint8_t, kHead + kInlineIp> inline_buf{};
+  common::Bytes heap_buf;
+  const std::size_t len = kHead + client_ip.size();
+  std::uint8_t* material = inline_buf.data();
+  if (client_ip.size() > kInlineIp) {
+    heap_buf.resize(len);
+    material = heap_buf.data();
+  }
+  material[0] = kKeyedDomain;
+  common::store_u64be(material + 1, request_key);
+  std::memcpy(material + kHead, client_ip.data(), client_ip.size());
+  return crypto::siphash24(id_key_, common::BytesView(material, len));
 }
 
 Puzzle PuzzleGenerator::issue_with_id(std::uint64_t puzzle_id,

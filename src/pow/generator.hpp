@@ -34,6 +34,7 @@
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
 #include "crypto/drbg.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/siphash.hpp"
 #include "pow/puzzle.hpp"
 
@@ -80,28 +81,29 @@ class PuzzleGenerator final {
 
   /// Computes the MAC a legitimate puzzle must carry. Exposed so the
   /// Verifier (and tests) share one definition.
-  [[nodiscard]] static crypto::Digest compute_auth(common::BytesView mac_key,
-                                                   const Puzzle& puzzle);
+  [[nodiscard]] static crypto::Digest compute_auth(
+      const crypto::HmacKey& mac_key, const Puzzle& puzzle);
 
   /// Same MAC from an already-serialized prefix (the MAC input is
-  /// prefix || id, streamed through the HMAC — no concatenation
+  /// prefix || id, fed to the HMAC as two parts — no concatenation
   /// buffer). Lets the verify path reuse one serialization for both
   /// the authenticity check and the solution hash instead of deriving
   /// the prefix twice per submission.
-  [[nodiscard]] static crypto::Digest compute_auth(common::BytesView mac_key,
-                                                   common::BytesView prefix,
-                                                   std::uint64_t puzzle_id);
+  [[nodiscard]] static crypto::Digest compute_auth(
+      const crypto::HmacKey& mac_key, common::BytesView prefix,
+      std::uint64_t puzzle_id);
 
   /// Derives the MAC key from a master secret (same derivation the
-  /// generator uses internally; the Verifier calls this too).
-  [[nodiscard]] static common::Bytes derive_mac_key(
+  /// generator uses internally; the Verifier calls this too), absorbed
+  /// once so every MAC under it skips the key blocks.
+  [[nodiscard]] static crypto::HmacKey derive_mac_key(
       common::BytesView master_secret);
 
  private:
   const common::Clock* clock_;
   crypto::DerivedDrbg seed_streams_;  ///< per-puzzle-id seed derivation
   crypto::SipKey id_key_{};           ///< keys the puzzle-id PRF
-  common::Bytes mac_key_;
+  crypto::HmacKey mac_key_;           ///< tags issued puzzles
   std::atomic<std::uint64_t> issued_{0};  ///< puzzles issued (count)
 };
 

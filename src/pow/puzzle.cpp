@@ -1,27 +1,44 @@
 #include "pow/puzzle.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <span>
-
-#include "common/strings.hpp"
+#include <string_view>
 
 namespace powai::pow {
 
 common::Bytes Puzzle::prefix_bytes() const {
-  // "POWAI1|<seed hex>|<timestamp>|<difficulty>|<client ip>|"
-  common::Bytes out;
-  // Exact for the fixed pieces, generous for the numeric fields — one
-  // allocation instead of a realloc per append on the issuance path.
-  out.reserve(7 + 2 * seed.size() + 20 + 10 + client_binding.size() + 4 + 8);
-  common::append(out, common::bytes_of("POWAI1|"));
-  common::append(out, common::bytes_of(common::to_hex(seed)));
-  common::append(out, common::bytes_of("|"));
-  common::append(out, common::bytes_of(std::to_string(issued_at_ms)));
-  common::append(out, common::bytes_of("|"));
-  common::append(out, common::bytes_of(std::to_string(difficulty)));
-  common::append(out, common::bytes_of("|"));
-  common::append(out, common::bytes_of(client_binding));
-  common::append(out, common::bytes_of("|"));
+  // "POWAI1|<seed hex>|<timestamp>|<difficulty>|<client ip>|", written
+  // in place into one exact-size buffer.
+  constexpr std::string_view kTag = "POWAI1|";
+  constexpr char kHexDigits[] = "0123456789abcdef";
+  char ts[24];
+  const auto ts_end = std::to_chars(ts, ts + sizeof(ts), issued_at_ms).ptr;
+  char diff[16];
+  const auto diff_end = std::to_chars(diff, diff + sizeof(diff), difficulty).ptr;
+  const std::size_t ts_len = static_cast<std::size_t>(ts_end - ts);
+  const std::size_t diff_len = static_cast<std::size_t>(diff_end - diff);
+
+  common::Bytes out(kTag.size() + 2 * seed.size() + ts_len + diff_len +
+                    client_binding.size() + 4);
+  std::uint8_t* p = out.data();
+  const auto put = [&p](const char* text, std::size_t n) {
+    std::memcpy(p, text, n);
+    p += n;
+  };
+  put(kTag.data(), kTag.size());
+  for (const std::uint8_t b : seed) {
+    *p++ = static_cast<std::uint8_t>(kHexDigits[b >> 4]);
+    *p++ = static_cast<std::uint8_t>(kHexDigits[b & 0x0f]);
+  }
+  *p++ = '|';
+  put(ts, ts_len);
+  *p++ = '|';
+  put(diff, diff_len);
+  *p++ = '|';
+  put(client_binding.data(), client_binding.size());
+  *p++ = '|';
   return out;
 }
 

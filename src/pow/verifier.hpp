@@ -11,6 +11,7 @@
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
 #include "common/error.hpp"
+#include "crypto/hmac.hpp"
 #include "pow/puzzle.hpp"
 #include "pow/replay_cache.hpp"
 
@@ -64,7 +65,7 @@ class Verifier final {
   /// kBadSolution, kReplay.
   ///
   /// Serializes the puzzle prefix exactly once per call: the same bytes
-  /// feed the MAC authenticity check (streamed through the HMAC) and
+  /// feed the MAC authenticity check (under the cached key) and
   /// the solution digest (via a PuzzleContext midstate).
   [[nodiscard]] common::Status verify(const Puzzle& puzzle,
                                       const Solution& solution,
@@ -109,7 +110,7 @@ class Verifier final {
 
  private:
   const common::Clock* clock_;
-  common::Bytes mac_key_;
+  crypto::HmacKey mac_key_;
   VerifierConfig config_;
   ShardedReplayCache redeemed_;
 };

@@ -131,7 +131,6 @@ LoadReport LoadHarness::run(
   struct Tally {
     std::uint64_t round_trips = 0;
     std::uint64_t served = 0;
-    std::uint64_t timeouts = 0;
     std::uint64_t rate_limited = 0;
     std::uint64_t other = 0;
     std::uint64_t attempts = 0;
@@ -160,8 +159,6 @@ LoadReport LoadHarness::run(
         tally.attempts += trip.attempts;
         if (trip.served) {
           ++tally.served;
-        } else if (trip.response.status == common::ErrorCode::kTimeout) {
-          ++tally.timeouts;
         } else if (trip.response.status == common::ErrorCode::kRateLimited) {
           ++tally.rate_limited;
         } else {
@@ -186,7 +183,6 @@ LoadReport LoadHarness::run(
   for (const Tally& tally : tallies) {
     report.round_trips += tally.round_trips;
     report.served += tally.served;
-    report.solve_timeouts += tally.timeouts;
     report.rate_limited += tally.rate_limited;
     report.rejected_other += tally.other;
     report.solve_attempts += tally.attempts;

@@ -102,7 +102,6 @@ struct LoadReport final {
   double wall_s = 0.0;
   std::uint64_t round_trips = 0;     ///< completed request→response loops
   std::uint64_t served = 0;          ///< responses with kOk
-  std::uint64_t solve_timeouts = 0;  ///< client attempt budget exhausted
   std::uint64_t rate_limited = 0;
   std::uint64_t rejected_other = 0;  ///< any other terminal error
   std::uint64_t solve_attempts = 0;  ///< total hashes clients spent

@@ -105,9 +105,9 @@ ClientPopulation::ClientPopulation(PopulationConfig config)
   base_ = base->value();
 
   // The one O(n) pass: client keys off the DerivedDrbg family. Each key
-  // is the first u64 of stream(i) — a pure function of (seed, i), so
-  // the table's content does not depend on construction order and two
-  // populations with the same config are identical.
+  // is next_u64(i), the first u64 of stream i — a pure function of
+  // (seed, i), so the table's content does not depend on construction
+  // order and two populations with the same config are identical.
   const std::uint64_t seed = config_.seed;
   const common::Bytes seed_bytes{
       static_cast<std::uint8_t>(seed >> 56),

@@ -1,9 +1,12 @@
-// Tests for HMAC-DRBG: determinism, reseeding, stream quality basics.
+// Tests for the HMAC-DRBG family: determinism, separation, stream quality
+// basics.
 
 #include "crypto/drbg.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -16,66 +19,60 @@ namespace {
 using common::Bytes;
 using common::bytes_of;
 
+// HMAC_DRBG stream properties, through DerivedDrbg — the library's one
+// HMAC_DRBG: stream `id` of a family is the SP 800-90A instance seeded
+// with (key, personalization || id).
+
 TEST(HmacDrbg, DeterministicFromSeed) {
-  HmacDrbg a(bytes_of("entropy-input"));
-  HmacDrbg b(bytes_of("entropy-input"));
-  EXPECT_EQ(a.generate(64), b.generate(64));
-  EXPECT_EQ(a.next_u64(), b.next_u64());
+  const DerivedDrbg a(bytes_of("entropy-input"));
+  const DerivedDrbg b(bytes_of("entropy-input"));
+  EXPECT_EQ(a.generate(0, 64), b.generate(0, 64));
+  EXPECT_EQ(a.next_u64(0), b.next_u64(0));
 }
 
 TEST(HmacDrbg, PersonalizationSeparatesStreams) {
-  HmacDrbg a(bytes_of("seed"), bytes_of("issuer"));
-  HmacDrbg b(bytes_of("seed"), bytes_of("verifier"));
-  EXPECT_NE(a.generate(32), b.generate(32));
+  const DerivedDrbg a(bytes_of("seed"), bytes_of("issuer"));
+  const DerivedDrbg b(bytes_of("seed"), bytes_of("verifier"));
+  EXPECT_NE(a.generate(0, 32), b.generate(0, 32));
 }
 
 TEST(HmacDrbg, DifferentSeedsDifferentStreams) {
-  HmacDrbg a(bytes_of("seed-1"));
-  HmacDrbg b(bytes_of("seed-2"));
-  EXPECT_NE(a.generate(32), b.generate(32));
+  const DerivedDrbg a(bytes_of("seed-1"));
+  const DerivedDrbg b(bytes_of("seed-2"));
+  EXPECT_NE(a.generate(0, 32), b.generate(0, 32));
 }
 
 TEST(HmacDrbg, SequentialCallsAdvanceState) {
-  HmacDrbg drbg(bytes_of("seed"));
-  const Bytes first = drbg.generate(32);
-  const Bytes second = drbg.generate(32);
-  EXPECT_NE(first, second);
+  // Generate advances V between output blocks: the second 32 bytes of a
+  // draw do not repeat the first.
+  const DerivedDrbg drbg(bytes_of("seed"));
+  const Bytes draw = drbg.generate(0, 64);
+  EXPECT_FALSE(std::equal(draw.begin(), draw.begin() + 32, draw.begin() + 32));
 }
 
 TEST(HmacDrbg, GenerateExactLengths) {
-  HmacDrbg drbg(bytes_of("seed"));
-  EXPECT_EQ(drbg.generate(1).size(), 1u);
-  EXPECT_EQ(drbg.generate(32).size(), 32u);
-  EXPECT_EQ(drbg.generate(33).size(), 33u);
-  EXPECT_EQ(drbg.generate(100).size(), 100u);
-  EXPECT_TRUE(drbg.generate(0).empty());
-}
-
-TEST(HmacDrbg, ReseedChangesStream) {
-  HmacDrbg a(bytes_of("seed"));
-  HmacDrbg b(bytes_of("seed"));
-  b.reseed(bytes_of("fresh-entropy"));
-  EXPECT_NE(a.generate(32), b.generate(32));
-}
-
-TEST(HmacDrbg, ReseedIsDeterministicToo) {
-  HmacDrbg a(bytes_of("seed"));
-  HmacDrbg b(bytes_of("seed"));
-  a.reseed(bytes_of("x"));
-  b.reseed(bytes_of("x"));
-  EXPECT_EQ(a.generate(32), b.generate(32));
+  const DerivedDrbg drbg(bytes_of("seed"));
+  EXPECT_EQ(drbg.generate(0, 1).size(), 1u);
+  EXPECT_EQ(drbg.generate(0, 32).size(), 32u);
+  EXPECT_EQ(drbg.generate(0, 33).size(), 33u);
+  EXPECT_EQ(drbg.generate(0, 100).size(), 100u);
+  EXPECT_TRUE(drbg.generate(0, 0).empty());
+  // A shorter draw is a prefix of a longer one from the same stream.
+  const Bytes long_draw = drbg.generate(0, 100);
+  const Bytes short_draw = drbg.generate(0, 33);
+  EXPECT_TRUE(std::equal(short_draw.begin(), short_draw.end(), long_draw.begin()));
 }
 
 TEST(HmacDrbg, NextU64ProducesDistinctValues) {
-  HmacDrbg drbg(bytes_of("seed"));
+  const DerivedDrbg drbg(bytes_of("seed"));
   std::set<std::uint64_t> seen;
-  for (int i = 0; i < 1000; ++i) seen.insert(drbg.next_u64());
+  for (std::uint64_t id = 0; id < 1000; ++id) seen.insert(drbg.next_u64(id));
   EXPECT_EQ(seen.size(), 1000u);
 }
 
 TEST(HmacDrbg, ByteDistributionRoughlyUniform) {
-  HmacDrbg drbg(bytes_of("distribution-check"));
-  const Bytes stream = drbg.generate(256 * 64);
+  const DerivedDrbg drbg(bytes_of("distribution-check"));
+  const Bytes stream = drbg.generate(0, 256 * 64);
   std::array<int, 256> counts{};
   for (std::uint8_t b : stream) ++counts[b];
   // Chi-square against uniform; 99.9th percentile of chi2(255) ~ 340.
@@ -114,18 +111,17 @@ TEST(DerivedDrbg, DistinctIdsKeysAndPersonalizationsDiverge) {
   EXPECT_NE(other_family.generate(42, 32), family.generate(42, 32));
 }
 
-TEST(DerivedDrbg, StreamChainsLikeAnOrdinaryDrbg) {
-  // stream(id) hands back a chained HmacDrbg whose first draw matches
-  // the one-shot generate().
-  const DerivedDrbg family(bytes_of("derived-key"));
-  HmacDrbg stream = family.stream(9);
-  EXPECT_EQ(stream.generate(16), family.generate(9, 16));
-  // Further draws continue the chain rather than repeating.
-  EXPECT_NE(stream.generate(16), family.generate(9, 16));
-}
-
 TEST(DerivedDrbg, RejectsEmptyKey) {
   EXPECT_THROW(DerivedDrbg({}, bytes_of("x")), std::invalid_argument);
+}
+
+TEST(DerivedDrbg, MaterialUpToTheStackBufferAndNoMore) {
+  const Bytes key(100, 0xab);
+  const Bytes fits(DerivedDrbg::kMaxMaterial - key.size(), 0xcd);
+  const DerivedDrbg family(key, fits);
+  EXPECT_EQ(family.generate(3, 32), family.generate(3, 32));
+  const Bytes too_long(fits.size() + 1, 0xcd);
+  EXPECT_THROW(DerivedDrbg(key, too_long), std::invalid_argument);
 }
 
 TEST(OsEntropy, ProducesRequestedLength) {

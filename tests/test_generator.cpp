@@ -18,7 +18,7 @@ using namespace std::chrono_literals;
 TEST(Generator, RejectsEmptySecret) {
   common::ManualClock clock;
   EXPECT_THROW(PuzzleGenerator(clock, {}), std::invalid_argument);
-  EXPECT_THROW(PuzzleGenerator::derive_mac_key({}), std::invalid_argument);
+  EXPECT_THROW((void)PuzzleGenerator::derive_mac_key({}), std::invalid_argument);
 }
 
 TEST(Generator, IssuesUniqueIdsAndSeeds) {
@@ -63,7 +63,7 @@ TEST(Generator, AuthTagVerifiesUnderDerivedKey) {
   const common::Bytes secret = common::bytes_of("secret");
   PuzzleGenerator gen(clock, secret);
   const Puzzle p = gen.issue_for("1.2.3.4", 1, 5);
-  const common::Bytes mac_key = PuzzleGenerator::derive_mac_key(secret);
+  const crypto::HmacKey mac_key = PuzzleGenerator::derive_mac_key(secret);
   EXPECT_EQ(PuzzleGenerator::compute_auth(mac_key, p), p.auth);
 }
 
@@ -71,7 +71,7 @@ TEST(Generator, AuthTagChangesWithAnyField) {
   common::ManualClock clock;
   const common::Bytes secret = common::bytes_of("secret");
   PuzzleGenerator gen(clock, secret);
-  const common::Bytes mac_key = PuzzleGenerator::derive_mac_key(secret);
+  const crypto::HmacKey mac_key = PuzzleGenerator::derive_mac_key(secret);
   const Puzzle p = gen.issue_for("1.2.3.4", 1, 5);
 
   Puzzle tampered = p;
@@ -97,7 +97,7 @@ TEST(Generator, DistinctSecretsProduceDistinctTags) {
   PuzzleGenerator gen_b(clock, common::bytes_of("secret-b"));
   const Puzzle a = gen_a.issue_for("1.2.3.4", 1, 5);
   // Forge: take a's fields, tag must not verify under b's key.
-  const common::Bytes key_b =
+  const crypto::HmacKey key_b =
       PuzzleGenerator::derive_mac_key(common::bytes_of("secret-b"));
   EXPECT_NE(PuzzleGenerator::compute_auth(key_b, a), a.auth);
   (void)gen_b;
@@ -172,7 +172,7 @@ TEST(Generator, KeyedIssuanceVerifiesAndCounts) {
   EXPECT_EQ(p.client_binding, "10.1.2.3");
   EXPECT_EQ(p.difficulty, 6u);
   EXPECT_EQ(p.seed.size(), 32u);
-  const common::Bytes mac_key = PuzzleGenerator::derive_mac_key(secret);
+  const crypto::HmacKey mac_key = PuzzleGenerator::derive_mac_key(secret);
   EXPECT_EQ(PuzzleGenerator::compute_auth(mac_key, p), p.auth);
   EXPECT_EQ(gen.issued_count(), 1u);
 }

@@ -76,20 +76,55 @@ TEST(Hmac, Rfc4231Case7LongKeyAndData) {
 }
 
 TEST(Hmac, IncrementalMatchesOneShot) {
+  // The cached-key form's two message parts may split anywhere: every
+  // split matches the one-shot MAC over the whole message, including
+  // splits that put the block boundary inside either part.
   const Bytes key = bytes_of("server-secret");
-  const Bytes part1 = bytes_of("192.168.1.1|");
-  const Bytes part2 = bytes_of("1647851523|");
-  const Bytes part3 = bytes_of("42");
+  const HmacKey cached(key);
+  Bytes whole;
+  for (int i = 0; i < 150; ++i) whole.push_back(static_cast<std::uint8_t>(i));
+  const common::BytesView all(whole);
+  for (std::size_t len : {std::size_t{0}, std::size_t{55}, std::size_t{56},
+                          std::size_t{119}, std::size_t{120}, whole.size()}) {
+    const common::BytesView msg = all.first(len);
+    const Digest expected = hmac_sha256(key, msg);
+    for (std::size_t split = 0; split <= len; ++split) {
+      EXPECT_EQ(hmac_sha256(cached, msg.first(split), msg.subspan(split)),
+                expected)
+          << "len=" << len << " split=" << split;
+    }
+  }
+}
 
-  Bytes whole = part1;
-  common::append(whole, part2);
-  common::append(whole, part3);
-
-  HmacSha256 mac(key);
-  mac.update(part1);
-  mac.update(part2);
-  mac.update(part3);
-  EXPECT_EQ(mac.finish(), hmac_sha256(key, whole));
+TEST(Hmac, CachedKeyMatchesRfc4231) {
+  // Cases 1, 2, 6 and 7 (short, ASCII, and longer-than-block keys), plus
+  // the empty key, through a key absorbed once and reused.
+  struct Case {
+    Bytes key;
+    Bytes msg;
+    const char* mac;
+  };
+  const Case cases[] = {
+      {Bytes(20, 0x0b), bytes_of("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {bytes_of("Jefe"), bytes_of("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(131, 0xaa),
+       bytes_of("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {Bytes(131, 0xaa),
+       bytes_of("This is a test using a larger than block-size key and a "
+                "larger than block-size data. The key needs to be hashed "
+                "before being used by the HMAC algorithm."),
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+      {Bytes{}, Bytes{},
+       "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad"},
+  };
+  for (const Case& c : cases) {
+    const HmacKey key(c.key);
+    EXPECT_EQ(hex_digest(hmac_sha256(key, c.msg)), c.mac);
+    EXPECT_EQ(hex_digest(hmac_sha256(key, c.msg)), c.mac);  // reusable
+  }
 }
 
 TEST(Hmac, DifferentKeysDifferentMacs) {
