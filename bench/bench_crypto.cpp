@@ -1,6 +1,7 @@
 // ABL-HASH — substrate microbenchmarks (google-benchmark): SHA-256,
 // HMAC-SHA256, SipHash-2-4, HMAC-DRBG, plus the hot-path forms this
-// system actually runs (midstate finish_with_suffix, hash_many lanes).
+// system actually runs (midstate finish_with_suffix, hash_many lanes,
+// the solver's PuzzleContext::check_many).
 // The SHA-256 64-byte number is the "per-hash cost" that calibrates the
 // latency model's hash_cost_us on a given machine (solver inputs are
 // one or two compression blocks).
@@ -12,8 +13,9 @@
 // with a "hashes_per_s" metric. "solver_scalar/generic" is the pre-midstate
 // per-attempt cost; "solver_midstate/<backend>" is the single-probe
 // midstate finish; "solver_sweep/<backend>" is the lane-parallel
-// finish_many_with_suffix sweep the solver runs on multi-buffer
-// backends — sweep/midstate on avx2/avx512 is the lane speedup.
+// finish_many_with_suffix sweep (the solver's lane kernel plus digest
+// serialization) — sweep/midstate is the lane speedup on
+// avx2/avx512/shani.
 
 #include <benchmark/benchmark.h>
 
@@ -30,6 +32,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/siphash.hpp"
+#include "pow/puzzle.hpp"
 
 namespace {
 
@@ -109,7 +112,9 @@ BENCHMARK(BM_Sha256HashMany)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_Sha256FinishManySolverShape(benchmark::State& state) {
   // The lane-sweep solver's shape: one shared midstate, a batch of
-  // 8-byte nonce suffixes finished lane_width() at a time.
+  // 8-byte nonce suffixes finished lane_width() at a time (16 on
+  // AVX-512, 8 on AVX2, 2 interleaved streams on SHA-NI), plus the
+  // digest serialization the solver itself skips.
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   const common::Bytes prefix = make_input(100);
   const crypto::Sha256Midstate midstate = crypto::Sha256::precompute(prefix);
@@ -132,6 +137,28 @@ void BM_Sha256FinishManySolverShape(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_Sha256FinishManySolverShape)->Arg(16)->Arg(256);
+
+void BM_PuzzleContextCheckMany(benchmark::State& state) {
+  // The solver's own probe path: one pre-padded final-block template
+  // per puzzle, one lane sweep per call, the nonce stored into each
+  // lane and the difficulty tested on the chaining words. The puzzle's
+  // 40-bit difficulty is never met, so every call probes the full batch.
+  const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  pow::Puzzle puzzle;
+  puzzle.seed = make_input(32);
+  puzzle.issued_at_ms = 1'700'000'000'000;
+  puzzle.difficulty = 40;
+  puzzle.client_binding = "198.51.100.1";
+  const pow::PuzzleContext context(puzzle);
+  std::uint64_t start = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(context.check_many(start, 1, batch));
+    start += batch;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_PuzzleContextCheckMany)->Arg(16)->Arg(256);
 
 void BM_HmacSha256(benchmark::State& state) {
   const common::Bytes key = common::bytes_of("bench-key");

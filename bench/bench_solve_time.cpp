@@ -98,10 +98,11 @@ int main(int argc, char** argv) {
   }
 
   std::printf("CLAIM-31MS: solve time vs difficulty, %d trials each "
-              "(sha256 backend: %s)\n\n%s\n",
+              "(sha256 backend: %s, lane width %zu)\n\n%s\n",
               trials,
               std::string(crypto::Sha256::backend_name(
                               crypto::Sha256::backend())).c_str(),
+              crypto::Sha256::lane_width(crypto::Sha256::backend()),
               table.to_text().c_str());
   std::printf("paper anchor: 1-difficult puzzle ~ 31 ms average (their "
               "testbed, incl. round trip);\n"
@@ -171,8 +172,8 @@ int main(int argc, char** argv) {
                             rate([&](std::uint64_t i) { sink ^= context.check(i); },
                                  1)});
       // A few lane groups per call so per-call overhead is amortized the
-      // way the solver amortizes it; single-stream backends still go
-      // through check_many's sequential path.
+      // way the solver amortizes it; one-lane backends (generic, armv8)
+      // still go through the same lane sweep, a lane at a time.
       const std::uint64_t batch =
           std::max<std::uint64_t>(crypto::Sha256::lane_width(b) * 4, 16);
       sweep_rows.push_back(

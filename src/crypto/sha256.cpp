@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -39,11 +40,16 @@ inline std::uint32_t load_be32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[3]);
 }
 
+/// One byte swap and one 4-byte store. Byte-by-byte stores of all eight
+/// words get SLP-vectorized by GCC into ~150 SSE2 shuffle instructions
+/// that re-read the state straight after the kernel's 16-byte stores,
+/// which cost about as much as a compression.
 inline void store_be32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
+  if constexpr (std::endian::native == std::endian::little) {
+    v = (v >> 24) | ((v >> 8) & 0x0000ff00u) | ((v << 8) & 0x00ff0000u) |
+        (v << 24);
+  }
+  std::memcpy(p, &v, sizeof(v));
 }
 
 /// Block-compression entry used for single-stream hashing under the
@@ -76,11 +82,11 @@ bool backend_supported(Sha256Backend b) {
   }
 }
 
-/// Auto order: the single-stream crypto extensions first (SHA-NI /
-/// ARMv8-CE win every one-at-a-time hash and stay competitive in
-/// sweeps), then the multi-lane backends widest first (they pay on
-/// hash_many / finish_many_with_suffix and fall back to the scalar
-/// reference for single streams).
+/// Auto order: the crypto extensions first (SHA-NI wins every
+/// one-at-a-time hash and, 2-way interleaved, the solver's sweeps too;
+/// ARMv8-CE wins one-at-a-time hashes), then the multi-lane backends
+/// widest first (they pay on hash_many and lane sweeps and fall back to
+/// the scalar reference for single streams).
 Sha256Backend best_backend() {
   if (backend_supported(Sha256Backend::kShaNi)) return Sha256Backend::kShaNi;
   if (backend_supported(Sha256Backend::kArmv8)) return Sha256Backend::kArmv8;
@@ -120,51 +126,60 @@ CompressFn active_compress() {
   }
 }
 
-/// A multi-buffer lane kernel pair: W whole equal-length messages per
-/// sweep (hash_many) or W shared-midstate finishes per sweep
-/// (finish_many_with_suffix). Null for single-stream backends.
+/// Finishes one lane through a single-stream compression: the lane
+/// kernel of the backends without multi-stream finish.
+template <CompressFn Compress>
+void finish1(const std::uint32_t* state, const std::uint8_t* const* blocks,
+             std::size_t n, Sha256State* out) {
+  std::copy_n(state, 8, out[0].begin());
+  Compress(out[0].data(), blocks[0], n);
+}
+
+/// A backend's lane kernels: W shared-midstate finishes per call (every
+/// backend; the solver's nonce sweep) and, on the multi-buffer
+/// backends, W whole equal-length messages per call (hash_many).
 struct LaneKernel {
-  std::size_t width = 0;
+  std::size_t width = 1;
+  Sha256LaneSweep::FinishFn finish_lanes = nullptr;
   void (*hash_lanes)(const std::uint8_t* const*, std::size_t,
                      std::uint8_t (*)[32]) = nullptr;
-  void (*finish_lanes)(const std::uint32_t*, const std::uint8_t* const*,
-                       std::size_t, std::uint8_t (*)[32]) = nullptr;
 };
 
 /// Widest lane width any backend offers — sizes stack batches.
-constexpr std::size_t kMaxLanes = 16;
+constexpr std::size_t kMaxLanes = Sha256LaneSweep::kMaxLanes;
 
-const LaneKernel* active_lane_kernel() {
-#ifdef POWAI_SHA256_X86_DISPATCH
+const LaneKernel& active_lane_kernel() {
+  static constexpr LaneKernel kGenericKernel{
+      1, &finish1<&detail::compress_generic>, nullptr};
   switch (static_cast<Sha256Backend>(
       backend_slot().load(std::memory_order_relaxed))) {
+#ifdef POWAI_SHA256_X86_DISPATCH
+    case Sha256Backend::kShaNi: {
+      static constexpr LaneKernel kShaNiKernel{2, &detail::finish2_shani,
+                                               nullptr};
+      return kShaNiKernel;
+    }
     case Sha256Backend::kAvx2: {
-      static constexpr LaneKernel kAvx2Kernel{
-          8,
-          [](const std::uint8_t* const* msgs, std::size_t len,
-             std::uint8_t (*out)[32]) { detail::hash8_avx2(msgs, len, out); },
-          [](const std::uint32_t* state, const std::uint8_t* const* blocks,
-             std::size_t n, std::uint8_t (*out)[32]) {
-            detail::finish8_avx2(state, blocks, n, out);
-          }};
-      return &kAvx2Kernel;
+      static constexpr LaneKernel kAvx2Kernel{8, &detail::finish8_avx2,
+                                              &detail::hash8_avx2};
+      return kAvx2Kernel;
     }
     case Sha256Backend::kAvx512: {
-      static constexpr LaneKernel kAvx512Kernel{
-          16,
-          [](const std::uint8_t* const* msgs, std::size_t len,
-             std::uint8_t (*out)[32]) { detail::hash16_avx512(msgs, len, out); },
-          [](const std::uint32_t* state, const std::uint8_t* const* blocks,
-             std::size_t n, std::uint8_t (*out)[32]) {
-            detail::finish16_avx512(state, blocks, n, out);
-          }};
-      return &kAvx512Kernel;
+      static constexpr LaneKernel kAvx512Kernel{16, &detail::finish16_avx512,
+                                                &detail::hash16_avx512};
+      return kAvx512Kernel;
     }
-    default:
-      break;
-  }
 #endif
-  return nullptr;
+#ifdef POWAI_SHA256_ARM_DISPATCH
+    case Sha256Backend::kArmv8: {
+      static constexpr LaneKernel kArmv8Kernel{
+          1, &finish1<&detail::compress_armv8>, nullptr};
+      return kArmv8Kernel;
+    }
+#endif
+    default:
+      return kGenericKernel;
+  }
 }
 
 }  // namespace
@@ -279,6 +294,8 @@ Sha256Backend Sha256::backend_from_name(std::string_view name) {
 
 std::size_t Sha256::lane_width(Sha256Backend b) {
   switch (b) {
+    case Sha256Backend::kShaNi:
+      return 2;
     case Sha256Backend::kAvx2:
       return 8;
     case Sha256Backend::kAvx512:
@@ -361,9 +378,7 @@ Digest Sha256::finish() {
     }
   }
 
-  Digest digest;
-  for (int i = 0; i < 8; ++i) store_be32(digest.data() + 4 * i, state_[i]);
-  return digest;
+  return to_digest(state_);
 }
 
 Digest Sha256::hash(common::BytesView data) {
@@ -393,44 +408,83 @@ Sha256Midstate Sha256::precompute(common::BytesView prefix) {
 Digest Sha256::finish_with_suffix(const Sha256Midstate& midstate,
                                   common::BytesView tail,
                                   common::BytesView suffix) {
-  const std::size_t mlen = tail.size() + suffix.size();
-  const std::uint64_t total = midstate.absorbed + mlen;
+  const CompressFn compress = active_compress();
+  Sha256State state = midstate.state;
+  const std::uint64_t bit_len =
+      (midstate.absorbed + tail.size() + suffix.size()) * 8;
 
-  std::array<std::uint32_t, 8> state = midstate.state;
-
-  if (mlen + 9 <= 2 * kBlockSize) {
-    // Hot path (solver/verifier: short tail + 8-byte nonce): lay the
-    // remainder and its padding out in at most two stack blocks and
-    // compress once. No allocation, no buffering.
-    std::uint8_t buf[2 * kBlockSize];
-    if (!tail.empty()) std::memcpy(buf, tail.data(), tail.size());
-    if (!suffix.empty()) {
-      std::memcpy(buf + tail.size(), suffix.data(), suffix.size());
+  // Stream tail || suffix: whole blocks compress straight from the
+  // input, the remainder (< 64 bytes) gathers in buf.
+  std::uint8_t buf[2 * kBlockSize];
+  std::size_t buffered = 0;
+  for (common::BytesView part : {tail, suffix}) {
+    if (part.empty()) continue;  // an empty view may carry a null pointer
+    if (buffered > 0) {
+      const std::size_t take = std::min(kBlockSize - buffered, part.size());
+      std::memcpy(buf + buffered, part.data(), take);
+      buffered += take;
+      part = part.subspan(take);
+      if (buffered == kBlockSize) {
+        compress(state.data(), buf, 1);
+        buffered = 0;
+      }
     }
-    const std::size_t blocks = (mlen + 9 <= kBlockSize) ? 1 : 2;
-    const std::size_t padded = blocks * kBlockSize;
-    buf[mlen] = 0x80;
-    std::memset(buf + mlen + 1, 0, padded - 8 - (mlen + 1));
-    const std::uint64_t bit_len = total * 8;
-    for (int i = 0; i < 8; ++i) {
-      buf[padded - 8 + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+    const std::size_t full = part.size() / kBlockSize;
+    if (full > 0) {
+      compress(state.data(), part.data(), full);
+      part = part.subspan(full * kBlockSize);
     }
-    active_compress()(state.data(), buf, blocks);
-  } else {
-    // General remainder (long tails/suffixes): stream through an
-    // incremental hasher seeded from the midstate.
-    Sha256 h;
-    h.state_ = state;
-    h.total_len_ = midstate.absorbed;
-    h.update(tail);
-    h.update(suffix);
-    return h.finish();
+    if (!part.empty()) {
+      std::memcpy(buf + buffered, part.data(), part.size());
+      buffered += part.size();
+    }
   }
 
-  Digest digest;
-  for (int i = 0; i < 8; ++i) store_be32(digest.data() + 4 * i, state[i]);
-  return digest;
+  // Padding: 0x80, zeros up to the trailer, 64-bit big-endian bit length.
+  const std::size_t padded = (buffered + 9 <= kBlockSize) ? kBlockSize
+                                                           : 2 * kBlockSize;
+  buf[buffered] = 0x80;
+  std::memset(buf + buffered + 1, 0, padded - 8 - (buffered + 1));
+  common::store_u64be(buf + padded - 8, bit_len);
+  compress(state.data(), buf, padded / kBlockSize);
+  return to_digest(state);
+}
+
+Sha256State Sha256::finish_blocks(const Sha256Midstate& midstate,
+                                  const std::uint8_t* blocks, std::size_t n) {
+  Sha256State state = midstate.state;
+  active_compress()(state.data(), blocks, n);
+  return state;
+}
+
+Sha256FinalBlocks Sha256FinalBlocks::make(const Sha256Midstate& midstate,
+                                          common::BytesView tail,
+                                          std::size_t suffix_len) {
+  if (!fits(tail.size(), suffix_len)) {
+    throw std::invalid_argument(
+        "Sha256FinalBlocks: tail + suffix + padding exceed two blocks");
+  }
+  Sha256FinalBlocks final;
+  const std::size_t mlen = tail.size() + suffix_len;
+  final.size = (mlen + 9 <= Sha256::kBlockSize) ? Sha256::kBlockSize
+                                                : 2 * Sha256::kBlockSize;
+  final.hole = tail.size();
+  if (!tail.empty()) std::memcpy(final.bytes.data(), tail.data(), tail.size());
+  final.bytes[mlen] = 0x80;  // bytes{} already zeroed the hole and the gap
+  common::store_u64be(final.bytes.data() + final.size - 8,
+                      (midstate.absorbed + mlen) * 8);
+  return final;
+}
+
+Sha256LaneSweep::Sha256LaneSweep(const Sha256FinalBlocks& final)
+    : blocks_(final.blocks()), hole_(final.hole) {
+  const LaneKernel& kernel = active_lane_kernel();
+  finish_ = kernel.finish_lanes;
+  width_ = kernel.width;
+  for (std::size_t l = 0; l < width_; ++l) {
+    std::memcpy(lanes_[l], final.bytes.data(), final.size);
+    lane_ptrs_[l] = lanes_[l];
+  }
 }
 
 void Sha256::hash_many(std::span<const common::BytesView> messages,
@@ -441,9 +495,9 @@ void Sha256::hash_many(std::span<const common::BytesView> messages,
   const std::size_t n = messages.size();
   if (n == 0) return;
 
-  const LaneKernel* kernel = active_lane_kernel();
-  if (kernel != nullptr && n >= 4) {
-    const std::size_t width = kernel->width;
+  const LaneKernel& kernel = active_lane_kernel();
+  if (kernel.hash_lanes != nullptr && n >= 4) {
+    const std::size_t width = kernel.width;
     // Group equal-length messages into width-wide lanes. Order by
     // length (stable, so equal-length runs keep batch order), then
     // sweep runs.
@@ -468,7 +522,7 @@ void Sha256::hash_many(std::span<const common::BytesView> messages,
           for (std::size_t l = 0; l < width; ++l) {
             ptrs[l] = messages[idx[base + std::min(l, lanes - 1)]].data();
           }
-          kernel->hash_lanes(ptrs, len, digests);
+          kernel.hash_lanes(ptrs, len, digests);
           for (std::size_t l = 0; l < lanes; ++l) {
             std::memcpy(out[idx[base + l]].data(), digests[l], 32);
           }
@@ -483,8 +537,8 @@ void Sha256::hash_many(std::span<const common::BytesView> messages,
     return;
   }
 
-  // Single-stream backends (SHA-NI / ARMv8-CE are fastest one message
-  // at a time).
+  // Backends without a whole-message lane kernel hash one message at a
+  // time.
   for (std::size_t i = 0; i < n; ++i) out[i] = hash(messages[i]);
 }
 
@@ -506,55 +560,36 @@ void Sha256::finish_many_with_suffix(const Sha256Midstate& midstate,
     }
   }
 
-  const std::size_t mlen = tail.size() + slen;
-  const LaneKernel* kernel = active_lane_kernel();
-  if (kernel == nullptr || mlen + 9 > 2 * kBlockSize || n < 2) {
+  if (!Sha256FinalBlocks::fits(tail.size(), slen)) {
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = finish_with_suffix(midstate, tail, suffixes[i]);
     }
     return;
   }
 
-  // Shared final-block template: tail, a hole for the suffix, then the
-  // padding and bit-length trailer — identical across lanes because the
-  // suffix lengths are equal. Each sweep only rewrites the suffix hole.
-  const std::size_t blocks = (mlen + 9 <= kBlockSize) ? 1 : 2;
-  const std::size_t padded = blocks * kBlockSize;
-  const std::uint64_t bit_len = (midstate.absorbed + mlen) * 8;
-  std::uint8_t lane_blocks[kMaxLanes][2 * kBlockSize];
-  const std::uint8_t* ptrs[kMaxLanes];
-  std::uint8_t digests[kMaxLanes][32];
-  const std::size_t width = kernel->width;
-  for (std::size_t l = 0; l < width; ++l) {
-    std::uint8_t* block = lane_blocks[l];
-    if (!tail.empty()) std::memcpy(block, tail.data(), tail.size());
-    block[mlen] = 0x80;
-    std::memset(block + mlen + 1, 0, padded - 8 - (mlen + 1));
-    for (int i = 0; i < 8; ++i) {
-      block[padded - 8 + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-    }
-    ptrs[l] = block;
-  }
-
-  std::size_t base = 0;
-  for (; base + width <= n; base += width) {
+  // The solver's path: one layout, one sweep, only the suffix hole
+  // rewritten per lane. A trailing partial group runs the full kernel
+  // and keeps only its filled lanes.
+  Sha256LaneSweep sweep(Sha256FinalBlocks::make(midstate, tail, slen));
+  const std::size_t width = sweep.width();
+  for (std::size_t base = 0; base < n; base += width) {
+    const std::size_t lanes = std::min(width, n - base);
     if (slen > 0) {
-      for (std::size_t l = 0; l < width; ++l) {
-        std::memcpy(lane_blocks[l] + tail.size(), suffixes[base + l].data(),
-                    slen);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        std::memcpy(sweep.hole(l), suffixes[base + l].data(), slen);
       }
     }
-    kernel->finish_lanes(midstate.state.data(), ptrs, blocks, digests);
-    for (std::size_t l = 0; l < width; ++l) {
-      std::memcpy(out[base + l].data(), digests[l], 32);
+    sweep.run(midstate);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      out[base + l] = to_digest(sweep.state(l));
     }
   }
-  // Trailing partial group: scalar finishes (same result, no idle-lane
-  // work).
-  for (; base < n; ++base) {
-    out[base] = finish_with_suffix(midstate, tail, suffixes[base]);
-  }
+}
+
+Digest to_digest(const Sha256State& state) {
+  Digest digest;
+  for (int i = 0; i < 8; ++i) store_be32(digest.data() + 4 * i, state[i]);
+  return digest;
 }
 
 unsigned leading_zero_bits(const Digest& digest) {

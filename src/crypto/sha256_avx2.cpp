@@ -7,10 +7,11 @@
 ///
 /// Two entry points share the round function: hash8_avx2 (eight whole
 /// messages from the initial state) and finish8_avx2 (eight pre-padded
-/// final blocks from one shared midstate — the solver's nonce sweep).
+/// final blocks from one shared midstate — the solver's nonce sweep —
+/// returned as chaining words).
 ///
 /// Compiled into every build (per-function target attribute); only
-/// reached through Sha256::hash_many / finish_many_with_suffix after
+/// reached through Sha256::hash_many / Sha256LaneSweep after
 /// the cpu_supports_avx2() check. Bit-exactness against the scalar
 /// reference is pinned by the cross-check tests run with each backend
 /// forced.
@@ -132,6 +133,18 @@ __attribute__((target("avx2"))) void store_digests8(const __m256i st[8],
   }
 }
 
+/// Un-transpose without serializing: out[l][w] = st[w][l].
+__attribute__((target("avx2"))) void store_states8(
+    const __m256i st[8], std::array<std::uint32_t, 8>* out) {
+  alignas(32) std::uint32_t words[8][8];  // words[word][lane]
+  for (int wrd = 0; wrd < 8; ++wrd) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(words[wrd]), st[wrd]);
+  }
+  for (int l = 0; l < 8; ++l) {
+    for (int wrd = 0; wrd < 8; ++wrd) out[l][wrd] = words[wrd][l];
+  }
+}
+
 }  // namespace
 
 __attribute__((target("avx2"))) void hash8_avx2(
@@ -182,7 +195,7 @@ __attribute__((target("avx2"))) void hash8_avx2(
 
 __attribute__((target("avx2"))) void finish8_avx2(
     const std::uint32_t state[8], const std::uint8_t* const blocks[8],
-    std::size_t blocks_per_lane, std::uint8_t (*out)[32]) {
+    std::size_t blocks_per_lane, std::array<std::uint32_t, 8>* out) {
   // Every lane starts from the same chaining state (the shared
   // midstate) and compresses its own pre-padded final block(s).
   __m256i st[8];
@@ -194,7 +207,7 @@ __attribute__((target("avx2"))) void finish8_avx2(
     for (int l = 0; l < 8; ++l) ptrs[l] = blocks[l] + blk * 64;
     compress8_block(st, ptrs);
   }
-  store_digests8(st, out);
+  store_states8(st, out);
 }
 
 }  // namespace powai::crypto::detail

@@ -10,10 +10,10 @@
 /// Two entry points share the round function: hash16_avx512 (sixteen
 /// whole equal-length messages from the initial state) and
 /// finish16_avx512 (sixteen pre-padded final blocks from one shared
-/// midstate — the solver's nonce sweep).
+/// midstate — the solver's nonce sweep — returned as chaining words).
 ///
 /// Compiled into every build (per-function target attributes); only
-/// reached through Sha256::hash_many / finish_many_with_suffix after
+/// reached through Sha256::hash_many / Sha256LaneSweep after
 /// the cpu_supports_avx512() check. Bit-exactness against the scalar
 /// reference is pinned by the cross-check tests run with each backend
 /// forced.
@@ -139,6 +139,18 @@ __attribute__((target("avx512f,avx512bw"))) void store_digests16(
   }
 }
 
+/// Un-transpose without serializing: out[l][w] = st[w][l].
+__attribute__((target("avx512f,avx512bw"))) void store_states16(
+    const __m512i st[8], std::array<std::uint32_t, 8>* out) {
+  alignas(64) std::uint32_t words[8][16];  // words[word][lane]
+  for (int wrd = 0; wrd < 8; ++wrd) {
+    _mm512_store_si512(words[wrd], st[wrd]);
+  }
+  for (int l = 0; l < 16; ++l) {
+    for (int wrd = 0; wrd < 8; ++wrd) out[l][wrd] = words[wrd][l];
+  }
+}
+
 }  // namespace
 
 __attribute__((target("avx512f,avx512bw"))) void hash16_avx512(
@@ -189,7 +201,7 @@ __attribute__((target("avx512f,avx512bw"))) void hash16_avx512(
 
 __attribute__((target("avx512f,avx512bw"))) void finish16_avx512(
     const std::uint32_t state[8], const std::uint8_t* const blocks[16],
-    std::size_t blocks_per_lane, std::uint8_t (*out)[32]) {
+    std::size_t blocks_per_lane, std::array<std::uint32_t, 8>* out) {
   // Every lane starts from the same chaining state (the shared
   // midstate) and compresses its own pre-padded final block(s).
   __m512i st[8];
@@ -201,7 +213,7 @@ __attribute__((target("avx512f,avx512bw"))) void finish16_avx512(
     for (int l = 0; l < 16; ++l) ptrs[l] = blocks[l] + blk * 64;
     compress16_block(st, ptrs);
   }
-  store_digests16(st, out);
+  store_states16(st, out);
 }
 
 }  // namespace powai::crypto::detail

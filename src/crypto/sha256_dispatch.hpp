@@ -9,14 +9,18 @@
 ///  - single-stream: fold \p n contiguous 64-byte blocks (big-endian
 ///    words) into \p state — the compress_generic contract, implemented
 ///    by the scalar reference, x86 SHA-NI, and ARMv8-CE kernels;
-///  - multi-lane: W independent messages advanced together, one message
-///    per 32-bit SIMD lane (AVX2: W=8, AVX-512: W=16). Each multi-lane
-///    backend provides a whole-message form (hashW: equal-length
-///    messages, padding included) and a finish form (finishW: every
-///    lane starts from the same already-absorbed chaining state and
-///    compresses its own pre-padded final block(s) — the solver's
-///    shared-midstate nonce sweep).
+///  - lane finish (finishW): W independent final-block sets advanced
+///    together from one shared, already-absorbed chaining state — the
+///    solver's shared-midstate nonce sweep. Every lane compresses its
+///    own pre-padded final block(s) and receives its chaining words
+///    (host order, not serialized). SHA-NI interleaves two streams
+///    round by round (W=2) to hide sha256rnds2 latency; AVX2 (W=8) and
+///    AVX-512 (W=16) put one message per 32-bit SIMD lane and also
+///    offer a whole-message form (hashW: equal-length messages,
+///    padding included) for hash_many. The scalar and ARMv8-CE
+///    backends finish one lane per call through their compress kernel.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -47,6 +51,19 @@ void compress_generic(std::uint32_t* state, const std::uint8_t* blocks,
 void compress_shani(std::uint32_t* state, const std::uint8_t* blocks,
                     std::size_t n);
 
+/// Finishes two messages sharing one chaining state, interleaved round
+/// by round: both lanes start from \p state (8 words, the midstate of a
+/// common prefix, converted to ABEF/CDGH once) and each compresses its
+/// own \p blocks_per_lane pre-padded 64-byte blocks (blocks[l] points
+/// at lane l's contiguous final blocks), producing out[l] = the lane's
+/// chaining words. Same contract as finish8_avx2 at width 2; two
+/// streams need 12 of the 16 xmm registers, so nothing spills. Only
+/// call when cpu_supports_shani() is true.
+void finish2_shani(const std::uint32_t state[8],
+                   const std::uint8_t* const blocks[2],
+                   std::size_t blocks_per_lane,
+                   std::array<std::uint32_t, 8>* out);
+
 /// Hashes eight equal-length messages in AVX2 lanes, producing
 /// out[i] = SHA-256(msgs[i]) for i in [0, 8). Handles padding
 /// internally. Only call when cpu_supports_avx2() is true.
@@ -57,12 +74,13 @@ void hash8_avx2(const std::uint8_t* const msgs[8], std::size_t len,
 /// starts from \p state (8 words, the midstate of a common prefix) and
 /// compresses its own \p blocks_per_lane pre-padded 64-byte blocks
 /// (blocks[l] points at lane l's contiguous final blocks), producing
-/// out[l] = the lane's big-endian digest. Padding and the bit-length
+/// out[l] = the lane's chaining words. Padding and the bit-length
 /// trailer must already be laid out in the blocks — this kernel only
 /// compresses. Only call when cpu_supports_avx2() is true.
 void finish8_avx2(const std::uint32_t state[8],
                   const std::uint8_t* const blocks[8],
-                  std::size_t blocks_per_lane, std::uint8_t (*out)[32]);
+                  std::size_t blocks_per_lane,
+                  std::array<std::uint32_t, 8>* out);
 
 /// 16-lane AVX-512 analogues of hash8_avx2 / finish8_avx2. Only call
 /// when cpu_supports_avx512() is true.
@@ -70,7 +88,8 @@ void hash16_avx512(const std::uint8_t* const msgs[16], std::size_t len,
                    std::uint8_t (*out)[32]);
 void finish16_avx512(const std::uint32_t state[8],
                      const std::uint8_t* const blocks[16],
-                     std::size_t blocks_per_lane, std::uint8_t (*out)[32]);
+                     std::size_t blocks_per_lane,
+                     std::array<std::uint32_t, 8>* out);
 #endif  // x86 dispatch
 
 // ARMv8 runtime dispatch (AArch64 crypto extensions). The kernel is

@@ -1,7 +1,12 @@
 /// \file sha256_shani.cpp
 /// SHA-256 compression via the x86 SHA extensions (sha256rnds2 /
-/// sha256msg1 / sha256msg2). Same contract as compress_generic; verified
-/// bit-exact against it by the KAT and property suites, which CI runs
+/// sha256msg1 / sha256msg2), in two shapes built from the same
+/// four-round step: compress_shani (one stream, the compress_generic
+/// contract) and finish2_shani (two independent final-block sets from
+/// one shared midstate, interleaved round by round — the technique of
+/// the Linux kernel's sha256_ni_finup2x — so each stream's sha256rnds2
+/// latency is hidden behind the other's). Verified bit-exact against
+/// the scalar reference by the KAT and property suites, which CI runs
 /// with each backend forced.
 ///
 /// Compiled into every build (no special flags: the kernels carry
@@ -63,223 +68,160 @@ bool cpu_supports_avx512() {
   return levels && os_enables_zmm();
 }
 
-__attribute__((target("sha,sse4.1,ssse3"))) void compress_shani(
-    std::uint32_t* state, const std::uint8_t* blocks, std::size_t n) {
-  // Byte shuffle turning little-endian loads into big-endian words.
+namespace {
+
+#define POWAI_SHANI_INLINE \
+  __attribute__((target("sha,sse4.1,ssse3"), always_inline)) inline
+
+alignas(16) constexpr std::uint32_t kK[64] = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+
+/// sha256rnds2 wants the state split as ABEF / CDGH.
+POWAI_SHANI_INLINE void load_abef_cdgh(const std::uint32_t* state,
+                                       __m128i& abef, __m128i& cdgh) {
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);    // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);  // EFGH
+  abef = _mm_alignr_epi8(tmp, cdgh, 8);  // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);  // CDGH
+}
+
+/// ABEF / CDGH back to the eight words in ABCDEFGH order.
+POWAI_SHANI_INLINE void store_abef_cdgh(__m128i abef, __m128i cdgh,
+                                        std::uint32_t* state) {
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));  // ABCD
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));  // EFGH
+}
+
+/// Message words 4i..4i+3 of a block, byte-swapped to big-endian.
+POWAI_SHANI_INLINE __m128i load_words(const std::uint8_t* block, int i) {
   const __m128i kShuffle =
       _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)),
+      kShuffle);
+}
 
-  // The sha256rnds2 instruction wants the state split as ABEF / CDGH.
-  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
-  __m128i state1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
-  tmp = _mm_shuffle_epi32(tmp, 0xB1);        // CDAB
-  state1 = _mm_shuffle_epi32(state1, 0x1B);  // EFGH
-  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);    // ABEF
-  state1 = _mm_blend_epi16(state1, tmp, 0xF0);         // CDGH
+/// W[t..t+3] from W[t-16..t-1], held as four vectors oldest first.
+POWAI_SHANI_INLINE __m128i schedule(__m128i w0, __m128i w1, __m128i w2,
+                                    __m128i w3) {
+  return _mm_sha256msg2_epu32(
+      _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4)),
+      w3);
+}
 
-  while (n > 0) {
-    const __m128i save0 = state0;
-    const __m128i save1 = state1;
-    __m128i msg, msg0, msg1, msg2, msg3;
+/// Rounds 4q..4q+3 of one stream, with message words \p w.
+POWAI_SHANI_INLINE void rounds4(__m128i& abef, __m128i& cdgh, __m128i w,
+                                int q) {
+  __m128i msg = _mm_add_epi32(
+      w, _mm_load_si128(reinterpret_cast<const __m128i*>(kK + 4 * q)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+  msg = _mm_shuffle_epi32(msg, 0x0E);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, msg);
+}
 
-    // Rounds 0-3.
-    msg = _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 0));
-    msg0 = _mm_shuffle_epi8(msg, kShuffle);
-    msg = _mm_add_epi32(
-        msg0, _mm_set_epi64x(static_cast<long long>(0xE9B5DBA5B5C0FBCFULL),
-                             static_cast<long long>(0x71374491428A2F98ULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-
-    // Rounds 4-7.
-    msg1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16));
-    msg1 = _mm_shuffle_epi8(msg1, kShuffle);
-    msg = _mm_add_epi32(
-        msg1, _mm_set_epi64x(static_cast<long long>(0xAB1C5ED5923F82A4ULL),
-                             static_cast<long long>(0x59F111F13956C25BULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-
-    // Rounds 8-11.
-    msg2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 32));
-    msg2 = _mm_shuffle_epi8(msg2, kShuffle);
-    msg = _mm_add_epi32(
-        msg2, _mm_set_epi64x(static_cast<long long>(0x550C7DC3243185BEULL),
-                             static_cast<long long>(0x12835B01D807AA98ULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-    // Rounds 12-15.
-    msg3 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 48));
-    msg3 = _mm_shuffle_epi8(msg3, kShuffle);
-    msg = _mm_add_epi32(
-        msg3, _mm_set_epi64x(static_cast<long long>(0xC19BF1749BDC06A7ULL),
-                             static_cast<long long>(0x80DEB1FE72BE5D74ULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    tmp = _mm_alignr_epi8(msg3, msg2, 4);
-    msg0 = _mm_add_epi32(msg0, tmp);
-    msg0 = _mm_sha256msg2_epu32(msg0, msg3);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    msg2 = _mm_sha256msg1_epu32(msg2, msg3);
-
-    // Rounds 16-19.
-    msg = _mm_add_epi32(
-        msg0, _mm_set_epi64x(static_cast<long long>(0x240CA1CC0FC19DC6ULL),
-                             static_cast<long long>(0xEFBE4786E49B69C1ULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    tmp = _mm_alignr_epi8(msg0, msg3, 4);
-    msg1 = _mm_add_epi32(msg1, tmp);
-    msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    msg3 = _mm_sha256msg1_epu32(msg3, msg0);
-
-    // Rounds 20-23.
-    msg = _mm_add_epi32(
-        msg1, _mm_set_epi64x(static_cast<long long>(0x76F988DA5CB0A9DCULL),
-                             static_cast<long long>(0x4A7484AA2DE92C6FULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    tmp = _mm_alignr_epi8(msg1, msg0, 4);
-    msg2 = _mm_add_epi32(msg2, tmp);
-    msg2 = _mm_sha256msg2_epu32(msg2, msg1);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-
-    // Rounds 24-27.
-    msg = _mm_add_epi32(
-        msg2, _mm_set_epi64x(static_cast<long long>(0xBF597FC7B00327C8ULL),
-                             static_cast<long long>(0xA831C66D983E5152ULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    tmp = _mm_alignr_epi8(msg2, msg1, 4);
-    msg3 = _mm_add_epi32(msg3, tmp);
-    msg3 = _mm_sha256msg2_epu32(msg3, msg2);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-    // Rounds 28-31.
-    msg = _mm_add_epi32(
-        msg3, _mm_set_epi64x(static_cast<long long>(0x1429296706CA6351ULL),
-                             static_cast<long long>(0xD5A79147C6E00BF3ULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    tmp = _mm_alignr_epi8(msg3, msg2, 4);
-    msg0 = _mm_add_epi32(msg0, tmp);
-    msg0 = _mm_sha256msg2_epu32(msg0, msg3);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    msg2 = _mm_sha256msg1_epu32(msg2, msg3);
-
-    // Rounds 32-35.
-    msg = _mm_add_epi32(
-        msg0, _mm_set_epi64x(static_cast<long long>(0x53380D134D2C6DFCULL),
-                             static_cast<long long>(0x2E1B213827B70A85ULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    tmp = _mm_alignr_epi8(msg0, msg3, 4);
-    msg1 = _mm_add_epi32(msg1, tmp);
-    msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    msg3 = _mm_sha256msg1_epu32(msg3, msg0);
-
-    // Rounds 36-39.
-    msg = _mm_add_epi32(
-        msg1, _mm_set_epi64x(static_cast<long long>(0x92722C8581C2C92EULL),
-                             static_cast<long long>(0x766A0ABB650A7354ULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    tmp = _mm_alignr_epi8(msg1, msg0, 4);
-    msg2 = _mm_add_epi32(msg2, tmp);
-    msg2 = _mm_sha256msg2_epu32(msg2, msg1);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-
-    // Rounds 40-43.
-    msg = _mm_add_epi32(
-        msg2, _mm_set_epi64x(static_cast<long long>(0xC76C51A3C24B8B70ULL),
-                             static_cast<long long>(0xA81A664BA2BFE8A1ULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    tmp = _mm_alignr_epi8(msg2, msg1, 4);
-    msg3 = _mm_add_epi32(msg3, tmp);
-    msg3 = _mm_sha256msg2_epu32(msg3, msg2);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-    // Rounds 44-47.
-    msg = _mm_add_epi32(
-        msg3, _mm_set_epi64x(static_cast<long long>(0x106AA070F40E3585ULL),
-                             static_cast<long long>(0xD6990624D192E819ULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    tmp = _mm_alignr_epi8(msg3, msg2, 4);
-    msg0 = _mm_add_epi32(msg0, tmp);
-    msg0 = _mm_sha256msg2_epu32(msg0, msg3);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    msg2 = _mm_sha256msg1_epu32(msg2, msg3);
-
-    // Rounds 48-51.
-    msg = _mm_add_epi32(
-        msg0, _mm_set_epi64x(static_cast<long long>(0x34B0BCB52748774CULL),
-                             static_cast<long long>(0x1E376C0819A4C116ULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    tmp = _mm_alignr_epi8(msg0, msg3, 4);
-    msg1 = _mm_add_epi32(msg1, tmp);
-    msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    msg3 = _mm_sha256msg1_epu32(msg3, msg0);
-
-    // Rounds 52-55 (message schedule complete; no more msg1 steps).
-    msg = _mm_add_epi32(
-        msg1, _mm_set_epi64x(static_cast<long long>(0x682E6FF35B9CCA4FULL),
-                             static_cast<long long>(0x4ED8AA4A391C0CB3ULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    tmp = _mm_alignr_epi8(msg1, msg0, 4);
-    msg2 = _mm_add_epi32(msg2, tmp);
-    msg2 = _mm_sha256msg2_epu32(msg2, msg1);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-
-    // Rounds 56-59.
-    msg = _mm_add_epi32(
-        msg2, _mm_set_epi64x(static_cast<long long>(0x8CC7020884C87814ULL),
-                             static_cast<long long>(0x78A5636F748F82EEULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    tmp = _mm_alignr_epi8(msg2, msg1, 4);
-    msg3 = _mm_add_epi32(msg3, tmp);
-    msg3 = _mm_sha256msg2_epu32(msg3, msg2);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-
-    // Rounds 60-63.
-    msg = _mm_add_epi32(
-        msg3, _mm_set_epi64x(static_cast<long long>(0xC67178F2BEF9A3F7ULL),
-                             static_cast<long long>(0xA4506CEB90BEFFFAULL)));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-
-    state0 = _mm_add_epi32(state0, save0);
-    state1 = _mm_add_epi32(state1, save1);
-
-    blocks += 64;
-    --n;
+/// One 64-byte block of one stream.
+POWAI_SHANI_INLINE void block1(__m128i& abef, __m128i& cdgh,
+                               const std::uint8_t* block) {
+  const __m128i save_abef = abef;
+  const __m128i save_cdgh = cdgh;
+  __m128i w[4];
+  for (int i = 0; i < 4; ++i) w[i] = load_words(block, i);
+#pragma GCC unroll 16
+  for (int q = 0; q < 16; ++q) {
+    if (q >= 4) {
+      w[q & 3] = schedule(w[q & 3], w[(q + 1) & 3], w[(q + 2) & 3],
+                          w[(q + 3) & 3]);
+    }
+    rounds4(abef, cdgh, w[q & 3], q);
   }
+  abef = _mm_add_epi32(abef, save_abef);
+  cdgh = _mm_add_epi32(cdgh, save_cdgh);
+}
 
-  // ABEF / CDGH back to ABCD / EFGH.
-  tmp = _mm_shuffle_epi32(state0, 0x1B);     // FEBA
-  state1 = _mm_shuffle_epi32(state1, 0xB1);  // DCHG
-  state0 = _mm_blend_epi16(tmp, state1, 0xF0);        // DCBA
-  state1 = _mm_alignr_epi8(state1, tmp, 8);           // HGFE... ABCD/EFGH order
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+/// One 64-byte block of each of two independent streams. The streams
+/// alternate instruction by instruction, so each sha256rnds2 issues
+/// while the other stream's previous one is still in flight.
+POWAI_SHANI_INLINE void block2(__m128i& a_abef, __m128i& a_cdgh,
+                               __m128i& b_abef, __m128i& b_cdgh,
+                               const std::uint8_t* a_block,
+                               const std::uint8_t* b_block) {
+  const __m128i a_save_abef = a_abef;
+  const __m128i a_save_cdgh = a_cdgh;
+  const __m128i b_save_abef = b_abef;
+  const __m128i b_save_cdgh = b_cdgh;
+  __m128i a[4];
+  __m128i b[4];
+  for (int i = 0; i < 4; ++i) {
+    a[i] = load_words(a_block, i);
+    b[i] = load_words(b_block, i);
+  }
+#pragma GCC unroll 16
+  for (int q = 0; q < 16; ++q) {
+    if (q >= 4) {
+      a[q & 3] = schedule(a[q & 3], a[(q + 1) & 3], a[(q + 2) & 3],
+                          a[(q + 3) & 3]);
+      b[q & 3] = schedule(b[q & 3], b[(q + 1) & 3], b[(q + 2) & 3],
+                          b[(q + 3) & 3]);
+    }
+    const __m128i k =
+        _mm_load_si128(reinterpret_cast<const __m128i*>(kK + 4 * q));
+    __m128i a_msg = _mm_add_epi32(a[q & 3], k);
+    __m128i b_msg = _mm_add_epi32(b[q & 3], k);
+    a_cdgh = _mm_sha256rnds2_epu32(a_cdgh, a_abef, a_msg);
+    b_cdgh = _mm_sha256rnds2_epu32(b_cdgh, b_abef, b_msg);
+    a_msg = _mm_shuffle_epi32(a_msg, 0x0E);
+    b_msg = _mm_shuffle_epi32(b_msg, 0x0E);
+    a_abef = _mm_sha256rnds2_epu32(a_abef, a_cdgh, a_msg);
+    b_abef = _mm_sha256rnds2_epu32(b_abef, b_cdgh, b_msg);
+  }
+  a_abef = _mm_add_epi32(a_abef, a_save_abef);
+  a_cdgh = _mm_add_epi32(a_cdgh, a_save_cdgh);
+  b_abef = _mm_add_epi32(b_abef, b_save_abef);
+  b_cdgh = _mm_add_epi32(b_cdgh, b_save_cdgh);
+}
+
+#undef POWAI_SHANI_INLINE
+
+}  // namespace
+
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_shani(
+    std::uint32_t* state, const std::uint8_t* blocks, std::size_t n) {
+  __m128i abef, cdgh;
+  load_abef_cdgh(state, abef, cdgh);
+  for (; n > 0; --n, blocks += 64) block1(abef, cdgh, blocks);
+  store_abef_cdgh(abef, cdgh, state);
+}
+
+__attribute__((target("sha,sse4.1,ssse3"))) void finish2_shani(
+    const std::uint32_t state[8], const std::uint8_t* const blocks[2],
+    std::size_t blocks_per_lane, std::array<std::uint32_t, 8>* out) {
+  // The shared midstate is split into ABEF / CDGH once for both lanes.
+  __m128i a_abef, a_cdgh;
+  load_abef_cdgh(state, a_abef, a_cdgh);
+  __m128i b_abef = a_abef;
+  __m128i b_cdgh = a_cdgh;
+  for (std::size_t blk = 0; blk < blocks_per_lane; ++blk) {
+    block2(a_abef, a_cdgh, b_abef, b_cdgh, blocks[0] + 64 * blk,
+           blocks[1] + 64 * blk);
+  }
+  store_abef_cdgh(a_abef, a_cdgh, out[0].data());
+  store_abef_cdgh(b_abef, b_cdgh, out[1].data());
 }
 
 }  // namespace powai::crypto::detail

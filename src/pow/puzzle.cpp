@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstring>
-#include <span>
 #include <string_view>
 
 namespace powai::pow {
@@ -119,52 +118,46 @@ std::optional<Solution> Solution::deserialize(common::BytesView data) {
 PuzzleContext::PuzzleContext(const Puzzle& puzzle)
     : prefix_(puzzle.prefix_bytes()),
       midstate_(crypto::Sha256::precompute(prefix_)),
+      final_(crypto::Sha256FinalBlocks::make(
+          midstate_, common::BytesView(prefix_).subspan(midstate_.absorbed),
+          sizeof(std::uint64_t))),
       puzzle_id_(puzzle.puzzle_id),
       difficulty_(puzzle.difficulty) {}
 
+crypto::Sha256State PuzzleContext::state_for(std::uint64_t nonce) const {
+  std::uint8_t lane[crypto::Sha256FinalBlocks::kMaxSize];
+  std::memcpy(lane, final_.bytes.data(), final_.size);
+  common::store_u64be(lane + final_.hole, nonce);
+  return crypto::Sha256::finish_blocks(midstate_, lane, final_.blocks());
+}
+
 crypto::Digest PuzzleContext::digest_for(std::uint64_t nonce) const {
-  std::uint8_t nonce_be[8];
-  common::store_u64be(nonce_be, nonce);
-  const std::size_t tail_offset = static_cast<std::size_t>(midstate_.absorbed);
-  return crypto::Sha256::finish_with_suffix(
-      midstate_,
-      common::BytesView(prefix_.data() + tail_offset,
-                        prefix_.size() - tail_offset),
-      common::BytesView(nonce_be, 8));
+  return crypto::to_digest(state_for(nonce));
 }
 
 bool PuzzleContext::check(std::uint64_t nonce) const {
-  return crypto::meets_difficulty(digest_for(nonce), difficulty_);
+  return crypto::meets_difficulty(state_for(nonce), difficulty_);
 }
 
 std::size_t PuzzleContext::check_many(std::uint64_t start, std::uint64_t stride,
                                       std::size_t count) const {
-  // Widest lane group any backend sweeps (AVX-512); wider requests are
-  // chunked so the buffers stay on the stack.
-  constexpr std::size_t kMaxSweep = 16;
-  const std::size_t tail_offset = static_cast<std::size_t>(midstate_.absorbed);
-  const common::BytesView tail(prefix_.data() + tail_offset,
-                               prefix_.size() - tail_offset);
-
-  std::uint8_t nonce_be[kMaxSweep][8];
-  common::BytesView suffixes[kMaxSweep];
-  crypto::Digest digests[kMaxSweep];
-
+  crypto::Sha256LaneSweep sweep(final_);
+  const std::size_t width = sweep.width();
   std::uint64_t nonce = start;
-  for (std::size_t done = 0; done < count;) {
-    const std::size_t n = std::min(kMaxSweep, count - done);
-    for (std::size_t i = 0; i < n; ++i) {
-      common::store_u64be(nonce_be[i], nonce);
-      suffixes[i] = common::BytesView(nonce_be[i], 8);
+  for (std::size_t done = 0; done < count; done += width) {
+    // A trailing partial group leaves its spare lanes on stale nonces;
+    // their results are never read.
+    const std::size_t lanes = std::min(width, count - done);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      common::store_u64be(sweep.hole(l), nonce);
       nonce += stride;
     }
-    crypto::Sha256::finish_many_with_suffix(
-        midstate_, tail, std::span<const common::BytesView>(suffixes, n),
-        std::span<crypto::Digest>(digests, n));
-    for (std::size_t i = 0; i < n; ++i) {
-      if (crypto::meets_difficulty(digests[i], difficulty_)) return done + i;
+    sweep.run(midstate_);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if (crypto::meets_difficulty(sweep.state(l), difficulty_)) {
+        return done + l;
+      }
     }
-    done += n;
   }
   return count;
 }

@@ -58,10 +58,11 @@ struct Solution final {
 
 /// Precomputed hashing context for one puzzle — the hot-path form of
 /// the (prefix || nonce) digest. Construction serializes the prefix
-/// once and absorbs its full 64-byte blocks into a SHA-256 midstate;
-/// after that every digest_for()/check() call is a single final-block
-/// compression with an in-place big-endian nonce store: no allocation,
-/// no re-serialization, no re-compression of the prefix.
+/// once, absorbs its full 64-byte blocks into a SHA-256 midstate, and
+/// lays out the padded final block(s) once (tail ‖ 8-byte nonce hole ‖
+/// 0x80 ‖ zeros ‖ bit length, held inline). After that every probe
+/// copies that layout, stores the big-endian nonce into the hole and
+/// compresses: no allocation, no re-serialization, no re-padding.
 ///
 /// Immutable after construction and therefore freely shared across
 /// threads (the solver's strided workers all read one context).
@@ -80,14 +81,16 @@ class PuzzleContext final {
   [[nodiscard]] crypto::Digest digest_for(std::uint64_t nonce) const;
 
   /// True iff \p nonce solves the puzzle this context was built from.
+  /// Tests the chaining words directly; no digest is serialized.
   [[nodiscard]] bool check(std::uint64_t nonce) const;
 
   /// Checks \p count strided nonces (start, start + stride, ...) in one
-  /// call, sweeping them through the active SHA-256 backend's SIMD
-  /// lanes (16 nonces per AVX-512 group, 8 per AVX2; single-stream
-  /// backends fall back to sequential finishes) over the shared
-  /// midstate. Returns the index of the FIRST qualifying nonce in probe
-  /// order, or \p count when none qualifies — the observable result is
+  /// call through one crypto::Sha256LaneSweep: the lane kernel is
+  /// resolved once per call and each lane group finishes
+  /// lane_width() nonces from the shared midstate (16 on AVX-512, 8 on
+  /// AVX2, 2 interleaved streams on SHA-NI, 1 on generic and ARMv8-CE).
+  /// Returns the index of the FIRST qualifying nonce in probe order, or
+  /// \p count when none qualifies — the observable result is
   /// bit-identical to calling check() on each nonce in sequence.
   /// Allocation-free.
   [[nodiscard]] std::size_t check_many(std::uint64_t start,
@@ -95,8 +98,12 @@ class PuzzleContext final {
                                        std::size_t count) const;
 
  private:
+  /// Chaining words of SHA-256(prefix || nonce_be64).
+  [[nodiscard]] crypto::Sha256State state_for(std::uint64_t nonce) const;
+
   common::Bytes prefix_;
   crypto::Sha256Midstate midstate_;  ///< over prefix_'s full blocks
+  crypto::Sha256FinalBlocks final_;  ///< tail ‖ nonce hole ‖ padding
   std::uint64_t puzzle_id_ = 0;
   unsigned difficulty_ = 1;
 };

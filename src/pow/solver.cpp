@@ -9,10 +9,10 @@ namespace powai::pow {
 
 namespace {
 
-/// Poll the cancel / stop flags only every ~N attempts: an atomic load
-/// per hash would dominate at low difficulties. Power of two by
-/// convention; lane sweeps advance the counter by a full batch, so the
-/// poll happens on the first sweep boundary at or past the interval.
+/// Probes per check_many call, and how often the cancel / stop flags
+/// are polled: an atomic load per hash would dominate at low
+/// difficulties. A power of two, so it is a whole number of lane groups
+/// at every lane width and only a budget-clipped call ends mid-group.
 constexpr std::uint64_t kCheckInterval = 256;
 static_assert((kCheckInterval & (kCheckInterval - 1)) == 0,
               "kCheckInterval must be a power of two");
@@ -24,59 +24,36 @@ ScanResult Solver::scan(const PuzzleContext& context, std::uint64_t start,
                         const std::atomic<bool>* cancel,
                         const std::atomic<bool>* stop) {
   ScanResult result;
-  // Sweep width of the active backend: 16 (AVX-512), 8 (AVX2), or 1
-  // (single-stream backends probe one nonce at a time).
-  const std::uint64_t width =
-      crypto::Sha256::lane_width(crypto::Sha256::backend());
-
   std::uint64_t nonce = start;
-  // Start at the interval so the flags are consulted before the first
-  // probe (a scan launched after a sibling already won does no work).
-  std::uint64_t since_poll = kCheckInterval;
-
   while (max_attempts == 0 || result.attempts < max_attempts) {
-    if (since_poll >= kCheckInterval) {
-      since_poll = 0;
-      if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-        return result;
-      }
-      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-        return result;
-      }
+    // The flags are consulted before the first probe, so a scan
+    // launched after a sibling already won does no work.
+    if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
+      return result;
+    }
+    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+      return result;
     }
 
-    // Batch = lane width, clipped to the remaining budget so a bounded
-    // scan never probes past max_attempts.
-    std::uint64_t batch = width;
+    // Clipped to the remaining budget so a bounded scan never probes
+    // past max_attempts.
+    std::uint64_t batch = kCheckInterval;
     if (max_attempts != 0) {
       batch = std::min<std::uint64_t>(batch, max_attempts - result.attempts);
     }
-
-    if (batch <= 1) {
-      ++result.attempts;
-      ++since_poll;
-      if (context.check(nonce)) {
-        result.nonce = nonce;
-        result.found = true;
-        return result;
-      }
-      nonce += stride;
-    } else {
-      const std::size_t hit =
-          context.check_many(nonce, stride, static_cast<std::size_t>(batch));
-      if (hit < batch) {
-        // First qualifying nonce in probe order; the probes after it in
-        // the same sweep are not counted — identical to a scalar scan
-        // that would have stopped there.
-        result.attempts += hit + 1;
-        result.nonce = nonce + stride * hit;
-        result.found = true;
-        return result;
-      }
-      result.attempts += batch;
-      since_poll += batch;
-      nonce += stride * batch;
+    const std::size_t hit =
+        context.check_many(nonce, stride, static_cast<std::size_t>(batch));
+    if (hit < batch) {
+      // First qualifying nonce in probe order; the probes after it in
+      // the same batch are not counted — identical to a scalar scan
+      // that would have stopped there.
+      result.attempts += hit + 1;
+      result.nonce = nonce + stride * hit;
+      result.found = true;
+      return result;
     }
+    result.attempts += batch;
+    nonce += stride * batch;
   }
   return result;
 }

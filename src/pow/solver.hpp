@@ -5,14 +5,15 @@
 /// number of leading zero bits. Supports bounded searches, cancellation,
 /// and multi-threaded strided search.
 ///
-/// The inner loop is lane-parallel: on a multi-buffer SHA-256 backend
-/// (AVX2: 8 lanes, AVX-512: 16) each sweep finishes lane_width() nonces
-/// from the shared midstate in one vectorized pass
-/// (PuzzleContext::check_many); single-stream backends (generic,
-/// SHA-NI, ARMv8-CE) probe one nonce at a time. The observable result —
-/// (found, nonce, attempts) — is bit-identical across all backends:
-/// the first qualifying nonce in probe order always wins and attempts
-/// counts probes up to and including it.
+/// The inner loop is lane-parallel: every SHA-256 backend finishes
+/// nonces lane_width() at a time from the shared midstate
+/// (PuzzleContext::check_many) — 16 per AVX-512 sweep, 8 per AVX2
+/// sweep, 2 interleaved streams on SHA-NI, 1 on generic and ARMv8-CE —
+/// writing only the 8 nonce bytes of a pre-padded final block per
+/// probe. The observable result — (found, nonce, attempts) — is
+/// bit-identical across all backends: the first qualifying nonce in
+/// probe order always wins and attempts counts probes up to and
+/// including it.
 
 #include <atomic>
 #include <cstdint>
@@ -69,12 +70,13 @@ class Solver final {
   /// One strided scan: probes start, start + stride, ... until a nonce
   /// qualifies, \p max_attempts probes are spent (0 = unbounded), or
   /// \p cancel / \p stop (both optional, read-only, polled every few
-  /// hundred probes) becomes true. Probes are swept lane_width() at a
-  /// time on a multi-lane backend; the result is deterministic and
-  /// backend-independent — the first qualifying nonce in probe order,
-  /// with attempts counting every probe up to and including it. This is
-  /// the primitive solve() runs per worker, exposed for tests and
-  /// callers that manage their own threads.
+  /// hundred probes) becomes true. Probes are handed to check_many a
+  /// poll interval at a time and swept lane_width() at a time within
+  /// it; the result is deterministic and backend-independent — the
+  /// first qualifying nonce in probe order, with attempts counting every
+  /// probe up to and including it. This is the primitive solve() runs
+  /// per worker, exposed for tests and callers that manage their own
+  /// threads.
   [[nodiscard]] static ScanResult scan(const PuzzleContext& context,
                                        std::uint64_t start,
                                        std::uint64_t stride,

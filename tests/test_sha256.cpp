@@ -213,6 +213,36 @@ TEST(MeetsDifficulty, ThresholdSemantics) {
   EXPECT_FALSE(meets_difficulty(d, 5));
 }
 
+TEST(MeetsDifficulty, StateWordsAgreeWithTheSerializedDigest) {
+  // The solver tests chaining words without serializing them. Crafted
+  // states with 0-8 leading zero words and the first non-zero word's
+  // top set bit at every position must give the digest's answer at
+  // every d (the solver's band reaches 40 bits, past word A), and the
+  // words must serialize big-endian in order.
+  for (std::size_t zero_words = 0; zero_words <= 8; ++zero_words) {
+    for (unsigned bit = 0; bit < (zero_words < 8 ? 32u : 1u); ++bit) {
+      Sha256State state;
+      state.fill(0xffffffffu);
+      for (std::size_t i = 0; i < zero_words; ++i) state[i] = 0;
+      if (zero_words < 8) state[zero_words] = 0x80000000u >> bit;
+      const Digest digest = to_digest(state);
+      for (std::size_t i = 0; i < 8; ++i) {
+        for (std::size_t b = 0; b < 4; ++b) {
+          EXPECT_EQ(digest[4 * i + b],
+                    static_cast<std::uint8_t>(state[i] >> (24 - 8 * b)));
+        }
+      }
+      const unsigned expected_bits = static_cast<unsigned>(32 * zero_words) +
+                                     (zero_words < 8 ? bit : 0u);
+      EXPECT_EQ(leading_zero_bits(digest), expected_bits);
+      for (unsigned d = 0; d <= 257; ++d) {
+        EXPECT_EQ(meets_difficulty(state, d), meets_difficulty(digest, d))
+            << "zero_words=" << zero_words << " bit=" << bit << " d=" << d;
+      }
+    }
+  }
+}
+
 TEST(ConstantTimeEqual, Basics) {
   const Bytes a = {1, 2, 3};
   const Bytes b = {1, 2, 3};

@@ -271,6 +271,54 @@ TEST_P(Sha256Dispatch, FinishManyRejectsMalformedBatches) {
                std::invalid_argument);
 }
 
+// ---------------------------------------------------------------------------
+// Sha256FinalBlocks + Sha256LaneSweep (the solver's path)
+// ---------------------------------------------------------------------------
+
+TEST_P(Sha256Dispatch, LaneSweepFinishesLaneWidthLanesLikeTheScalarFinish) {
+  // One sweep per final-block shape: one block (tail <= 47), two with
+  // the 8-byte hole in the first block (48-56), and a hole straddling
+  // the boundary (57-63). The sweep runs lane_width() lanes — two
+  // interleaved streams on SHA-NI — and every lane's words serialize
+  // to the scalar finish of its own suffix.
+  common::Rng rng(37);
+  for (std::size_t tail_len : {std::size_t{0}, std::size_t{20},
+                               std::size_t{47}, std::size_t{48},
+                               std::size_t{56}, std::size_t{57},
+                               std::size_t{63}}) {
+    const common::Bytes prefix = random_bytes(rng, 64 + tail_len);
+    const Sha256Midstate midstate = Sha256::precompute(prefix);
+    const common::BytesView tail = common::BytesView(prefix).subspan(64);
+    const crypto::Sha256FinalBlocks final =
+        crypto::Sha256FinalBlocks::make(midstate, tail, 8);
+    EXPECT_EQ(final.blocks(), tail_len + 8 + 9 <= 64 ? 1u : 2u);
+    EXPECT_EQ(final.hole, tail_len);
+
+    crypto::Sha256LaneSweep sweep(final);
+    ASSERT_EQ(sweep.width(), Sha256::lane_width(GetParam()));
+    std::vector<std::array<std::uint8_t, 8>> nonces(sweep.width());
+    for (std::size_t l = 0; l < sweep.width(); ++l) {
+      common::store_u64be(nonces[l].data(), rng.uniform_u64(0, ~0ull));
+      std::copy(nonces[l].begin(), nonces[l].end(), sweep.hole(l));
+    }
+    sweep.run(midstate);
+    for (std::size_t l = 0; l < sweep.width(); ++l) {
+      EXPECT_EQ(crypto::to_digest(sweep.state(l)),
+                Sha256::finish_with_suffix(midstate, tail, nonces[l]))
+          << "tail=" << tail_len << " lane=" << l;
+    }
+  }
+}
+
+TEST(Sha256FinalBlocks, RejectsShapesBeyondTwoBlocks) {
+  const common::Bytes prefix(63, 0x61);
+  const Sha256Midstate midstate = Sha256::precompute(prefix);
+  EXPECT_EQ(crypto::Sha256FinalBlocks::make(midstate, prefix, 56).blocks(),
+            2u);
+  EXPECT_THROW((void)crypto::Sha256FinalBlocks::make(midstate, prefix, 57),
+               std::invalid_argument);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, Sha256Dispatch,
     ::testing::ValuesIn(Sha256::supported_backends()),
@@ -284,7 +332,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Sha256LaneWidth, MultiLaneBackendsReportTheirSweepWidth) {
   EXPECT_EQ(Sha256::lane_width(Sha256Backend::kGeneric), 1u);
-  EXPECT_EQ(Sha256::lane_width(Sha256Backend::kShaNi), 1u);
+  EXPECT_EQ(Sha256::lane_width(Sha256Backend::kShaNi), 2u);
   EXPECT_EQ(Sha256::lane_width(Sha256Backend::kArmv8), 1u);
   EXPECT_EQ(Sha256::lane_width(Sha256Backend::kAvx2), 8u);
   EXPECT_EQ(Sha256::lane_width(Sha256Backend::kAvx512), 16u);

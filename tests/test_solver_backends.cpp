@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -157,6 +159,68 @@ TEST_P(SolverBackends, CheckManyAgreesWithSequentialCheck) {
     }
     EXPECT_EQ(context.check_many(start, 1, count), expected)
         << "count=" << count;
+  }
+  ASSERT_TRUE(Sha256::set_backend(previous));
+}
+
+/// A client binding of \p len bytes: sweeping len moves the prefix
+/// tail (prefix size mod 64, the bytes before the nonce in the final
+/// block) through every value.
+std::string binding_of_length(std::size_t len) {
+  std::string binding = "10.0.0.1";
+  binding.resize(len, '7');
+  return binding;
+}
+
+TEST_P(SolverBackends, ScanMatchesGenericAtEveryFinalBlockShape) {
+  // Tails 0-47 finish in one block, 48-56 in two with the nonce in the
+  // first, 57-63 in two with the nonce straddling the boundary. Every
+  // shape must give the scalar reference's (found, nonce, attempts),
+  // unbounded and on a strided, budget-clipped scan.
+  std::vector<bool> tail_seen(64, false);
+  for (std::size_t len = 0; len < 64; ++len) {
+    const Puzzle p = make_puzzle(8, binding_of_length(len));
+    const PuzzleContext context(p);
+    tail_seen[context.prefix().size() % 64] = true;
+
+    const ScanResult reference =
+        scan_with(Sha256Backend::kGeneric, context, 0, 1, 0);
+    ASSERT_TRUE(reference.found) << "len=" << len;
+    const ScanResult r = scan_with(GetParam(), context, 0, 1, 0);
+    EXPECT_EQ(r.found, reference.found) << "len=" << len;
+    EXPECT_EQ(r.nonce, reference.nonce) << "len=" << len;
+    EXPECT_EQ(r.attempts, reference.attempts) << "len=" << len;
+
+    const ScanResult clipped_reference =
+        scan_with(Sha256Backend::kGeneric, context, 1, 3, 301);
+    const ScanResult clipped = scan_with(GetParam(), context, 1, 3, 301);
+    EXPECT_EQ(clipped.found, clipped_reference.found) << "len=" << len;
+    EXPECT_EQ(clipped.nonce, clipped_reference.nonce) << "len=" << len;
+    EXPECT_EQ(clipped.attempts, clipped_reference.attempts) << "len=" << len;
+  }
+  EXPECT_EQ(std::count(tail_seen.begin(), tail_seen.end(), true), 64);
+}
+
+TEST_P(SolverBackends, DigestMatchesOneShotHashAtEveryFinalBlockShape) {
+  // digest_for (the verifier's path) and check fill the same pre-padded
+  // final block(s) as the sweep; both must agree with hashing
+  // prefix || nonce_be64 from scratch at every tail length.
+  const Sha256Backend previous = Sha256::backend();
+  ASSERT_TRUE(Sha256::set_backend(GetParam()));
+  for (std::size_t len = 0; len < 64; ++len) {
+    const Puzzle p = make_puzzle(2, binding_of_length(len));
+    const PuzzleContext context(p);
+    for (std::uint64_t nonce :
+         {0ull, 1ull, 0x0123456789abcdefull, ~0ull}) {
+      common::Bytes message = p.prefix_bytes();
+      common::append_u64be(message, nonce);
+      const crypto::Digest expected = Sha256::hash(message);
+      EXPECT_EQ(context.digest_for(nonce), expected)
+          << "len=" << len << " nonce=" << nonce;
+      EXPECT_EQ(context.check(nonce),
+                crypto::meets_difficulty(expected, p.difficulty))
+          << "len=" << len << " nonce=" << nonce;
+    }
   }
   ASSERT_TRUE(Sha256::set_backend(previous));
 }
