@@ -82,11 +82,11 @@ bool backend_supported(Sha256Backend b) {
   }
 }
 
-/// Auto order: the crypto extensions first (SHA-NI wins every
-/// one-at-a-time hash and, 2-way interleaved, the solver's sweeps too;
-/// ARMv8-CE wins one-at-a-time hashes), then the multi-lane backends
-/// widest first (they pay on hash_many and lane sweeps and fall back to
-/// the scalar reference for single streams).
+/// Auto order: the crypto extensions first (SHA-NI / ARMv8-CE win every
+/// one-at-a-time hash — issuance, HMAC, verification — and SHA-NI runs
+/// 2-way interleaved sweeps), then the multi-lane backends widest first
+/// (they pay on hash_many and lane sweeps and fall back to the scalar
+/// reference for single streams).
 Sha256Backend best_backend() {
   if (backend_supported(Sha256Backend::kShaNi)) return Sha256Backend::kShaNi;
   if (backend_supported(Sha256Backend::kArmv8)) return Sha256Backend::kArmv8;

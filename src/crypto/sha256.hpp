@@ -246,7 +246,8 @@ class Sha256LaneSweep final {
   std::size_t blocks_ = 1;
   std::size_t hole_ = 0;
   const std::uint8_t* lane_ptrs_[kMaxLanes] = {};
-  Sha256State states_[kMaxLanes];
+  Sha256State states_[kMaxLanes] = {};
+  /// Lanes [0, width()) hold copies of the layout; the rest are unused.
   alignas(64) std::uint8_t lanes_[kMaxLanes][Sha256FinalBlocks::kMaxSize];
 };
 

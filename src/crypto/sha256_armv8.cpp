@@ -2,9 +2,10 @@
 /// ARMv8 crypto-extension SHA-256: the SHA2 instructions (vsha256hq,
 /// vsha256h2q, vsha256su0q, vsha256su1q) compute four rounds per
 /// instruction pair on 128-bit NEON registers, one message stream at a
-/// time — the AArch64 analogue of the x86 SHA-NI backend, and like it a
-/// single-stream kernel (lane_width 1): midstate reuse, not lane
-/// parallelism, is the win here.
+/// time — the AArch64 analogue of the x86 SHA-NI backend's
+/// compress_shani. There is no interleaved finish yet, so solver sweeps
+/// run it one lane at a time (lane_width 1): midstate reuse and the
+/// pre-padded final block, not lane parallelism, are the win here.
 ///
 /// The whole translation unit is compiled only on AArch64
 /// (POWAI_SHA256_ARM_DISPATCH); within it the kernel is fenced behind a
