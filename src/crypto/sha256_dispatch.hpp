@@ -56,9 +56,10 @@ void compress_shani(std::uint32_t* state, const std::uint8_t* blocks,
 /// common prefix, converted to ABEF/CDGH once) and each compresses its
 /// own \p blocks_per_lane pre-padded 64-byte blocks (blocks[l] points
 /// at lane l's contiguous final blocks), producing out[l] = the lane's
-/// chaining words. Same contract as finish8_avx2 at width 2; two
-/// streams need 12 of the 16 xmm registers, so nothing spills. Only
-/// call when cpu_supports_shani() is true.
+/// chaining words. Same contract as finish8_avx2 at width 2. The two
+/// streams' states and message schedules take 12 of the 16 xmm
+/// registers, so the rounds run without spills (4 streams would not
+/// fit). Only call when cpu_supports_shani() is true.
 void finish2_shani(const std::uint32_t state[8],
                    const std::uint8_t* const blocks[2],
                    std::size_t blocks_per_lane,
