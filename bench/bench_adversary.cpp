@@ -1,6 +1,6 @@
 // ABL-ADVERSARY — security table: every bypass strategy against the full
 // server pipeline, with its success rate and the hash work it had to
-// invest. Regenerates the security table in EXPERIMENTS.md.
+// invest. tests/test_adversary.cpp checks the same table.
 //
 // Usage:   ./build/bench/bench_adversary [attempts=25] [seed=99]
 

@@ -1,7 +1,8 @@
 // FIG2 — reproduces the paper's Figure 2: median end-to-end latency (ms)
 // versus reputation score 0..10 for Policies 1, 2, and 3, median of 30
 // trials per point. Real SHA-256 solving; latency via the calibrated
-// model (EXPERIMENTS.md).
+// model (sim/latency_model.hpp). Fig2Test.* in tests/test_sim.cpp checks
+// the figure's orderings.
 //
 // Usage:   ./build/bench/bench_fig2_policies [trials=30] [epsilon=1.5]
 //          [seed=2022] [real_solver=true] [csv=false]

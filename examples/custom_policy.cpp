@@ -1,26 +1,25 @@
 // Customizing the policy module — the paper's extension point ("a network
 // administrator may specify a policy based on her specific security
-// needs"). Three routes are shown:
-//   1. a text policy in the rule DSL,
-//   2. a hand-written IPolicy subclass,
-//   3. composing the built-ins with decorators (load surcharge + clamp).
-// The program prints each policy's reputation→difficulty curve.
+// needs"). A policy is any IPolicy subclass; this one is written by hand
+// and printed beside the paper's Policies 1–3 as a reputation→difficulty
+// table.
 //
 // Usage:   ./build/examples/custom_policy
 
 #include <cstdio>
-#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "policy/dsl.hpp"
-#include "policy/extensions.hpp"
+#include "policy/error_range_policy.hpp"
 #include "policy/linear_policy.hpp"
 
 namespace {
 
-/// Route 2: a custom C++ policy. Difficulty follows the square of the
-/// score so mid-range clients stay cheap and only the worst pay heavily.
+/// A custom C++ policy. Difficulty follows the square of the score so
+/// mid-range clients stay cheap and only the worst pay heavily.
 class QuadraticPolicy final : public powai::policy::IPolicy {
  public:
   [[nodiscard]] std::string_view name() const override { return "quadratic"; }
@@ -38,38 +37,26 @@ class QuadraticPolicy final : public powai::policy::IPolicy {
 int main() {
   using namespace powai;
 
-  // Route 1: the rule DSL. A calm-period policy: trusted scores pay a
-  // token cost, the suspicious mid-band ramps linearly, the worst get an
-  // exponential wall.
-  const policy::DslPolicy dsl_policy(
-      "# calm-period policy\n"
-      "when score < 3:        difficulty = 2\n"
-      "when score in [3, 7):  difficulty = ceil(score) + 2\n"
-      "default:               difficulty = ceil(pow(1.45, score))\n");
-
-  // Route 2: custom subclass.
+  const policy::LinearPolicy policy1 = policy::LinearPolicy::policy1();
+  const policy::LinearPolicy policy2 = policy::LinearPolicy::policy2();
+  const policy::ErrorRangePolicy policy3(1.5);
   const QuadraticPolicy quadratic;
-
-  // Route 3: composition — Policy 1 plus a surcharge of up to 6 levels
-  // under load, clamped to a deployment band.
-  auto surcharged = std::make_unique<policy::AdaptiveLoadPolicy>(
-      std::make_unique<policy::LinearPolicy>(1), 6);
-  auto* surcharged_raw = surcharged.get();
-  surcharged_raw->set_load(0.8);  // the server reports 80% load
-  const policy::ClampPolicy composed(std::move(surcharged), 2, 18);
+  const policy::IPolicy* const policies[] = {&policy1, &policy2, &policy3,
+                                             &quadratic};
 
   common::Rng rng(1);
-  common::Table table({"score", "dsl", "quadratic", "policy1+load(clamped)"});
+  common::Table table({"score", "policy1", "policy2", "policy3", "quadratic"});
   for (int r = 0; r <= 10; ++r) {
-    table.add_row({std::to_string(r),
-                   std::to_string(dsl_policy.difficulty(r, rng)),
-                   std::to_string(quadratic.difficulty(r, rng)),
-                   std::to_string(composed.difficulty(r, rng))});
+    std::vector<std::string> row{std::to_string(r)};
+    for (const policy::IPolicy* p : policies) {
+      row.push_back(std::to_string(p->difficulty(r, rng)));
+    }
+    table.add_row(std::move(row));
   }
 
-  std::printf("dsl:        %s\n", dsl_policy.describe().c_str());
-  std::printf("quadratic:  %s\n", quadratic.describe().c_str());
-  std::printf("composed:   %s\n\n", composed.describe().c_str());
-  std::printf("%s", table.to_text().c_str());
+  for (const policy::IPolicy* p : policies) {
+    std::printf("%s\n", p->describe().c_str());
+  }
+  std::printf("\n%s", table.to_text().c_str());
   return 0;
 }

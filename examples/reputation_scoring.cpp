@@ -1,13 +1,11 @@
-// The AI-model component in isolation: train all four reputation models
-// on labeled traffic, evaluate them on a held-out split (reproducing the
-// shape of DAbR's published ~80% accuracy), and score a few example IPs.
+// The AI-model component in isolation: train DAbR on labeled traffic,
+// evaluate it on a held-out split (reproducing the shape of its published
+// ~80% accuracy), and score a few example IPs.
 //
 // Usage:   ./build/examples/reputation_scoring [key=value ...]
 //   rows=2000 overlap=0.58 seed=3
 
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
@@ -15,9 +13,6 @@
 #include "features/synthetic.hpp"
 #include "reputation/dabr.hpp"
 #include "reputation/evaluator.hpp"
-#include "reputation/knn.hpp"
-#include "reputation/logistic.hpp"
-#include "reputation/naive_bayes.hpp"
 
 int main(int argc, char** argv) {
   using namespace powai;
@@ -34,27 +29,19 @@ int main(int argc, char** argv) {
   data.shuffle(rng);
   const auto [train, test] = data.split(0.7);
 
-  std::vector<std::unique_ptr<reputation::IReputationModel>> models;
-  models.push_back(std::make_unique<reputation::DabrModel>());
-  models.push_back(std::make_unique<reputation::KnnModel>());
-  models.push_back(std::make_unique<reputation::LogisticModel>());
-  models.push_back(std::make_unique<reputation::NaiveBayesModel>());
-
+  reputation::DabrModel dabr;
+  dabr.fit(train);
+  const reputation::EvaluationReport r = reputation::evaluate(dabr, test);
   common::Table table(
       {"model", "accuracy", "precision", "recall", "f1", "auc", "epsilon"});
-  for (auto& model : models) {
-    model->fit(train);
-    const reputation::EvaluationReport r = reputation::evaluate(*model, test);
-    table.add_row({std::string(model->name()), common::fmt_f(r.accuracy, 3),
-                   common::fmt_f(r.precision, 3), common::fmt_f(r.recall, 3),
-                   common::fmt_f(r.f1, 3), common::fmt_f(r.roc_auc, 3),
-                   common::fmt_f(model->error_epsilon(), 2)});
-  }
+  table.add_row({std::string(dabr.name()), common::fmt_f(r.accuracy, 3),
+                 common::fmt_f(r.precision, 3), common::fmt_f(r.recall, 3),
+                 common::fmt_f(r.f1, 3), common::fmt_f(r.roc_auc, 3),
+                 common::fmt_f(dabr.error_epsilon(), 2)});
   std::printf("held-out evaluation (%zu train / %zu test rows):\n%s\n",
               train.size(), test.size(), table.to_text().c_str());
 
   // Score a handful of fresh observations with the trained DAbR.
-  const auto& dabr = *models.front();
   std::printf("sample scores (0 = trusted ... 10 = untrustworthy):\n");
   for (int i = 0; i < 3; ++i) {
     const auto benign = traffic.sample(false, rng);

@@ -1,33 +1,16 @@
 #include "common/bytes.hpp"
 
-#include <array>
-#include <cstring>
-
 namespace powai::common {
 
 namespace {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
-constexpr char kB64Alphabet[] =
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
 /// Maps an ASCII character to its hex value, or -1 if not a hex digit.
 int hex_value(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-/// Maps an ASCII character to its base64 value, or -1 if outside the
-/// alphabet ('=' is handled separately by the decoder).
-int b64_value(char c) {
-  if (c >= 'A' && c <= 'Z') return c - 'A';
-  if (c >= 'a' && c <= 'z') return c - 'a' + 26;
-  if (c >= '0' && c <= '9') return c - '0' + 52;
-  if (c == '+') return 62;
-  if (c == '/') return 63;
   return -1;
 }
 
@@ -52,69 +35,6 @@ std::optional<Bytes> from_hex(std::string_view hex) {
     const int lo = hex_value(hex[i + 1]);
     if (hi < 0 || lo < 0) return std::nullopt;
     out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-  }
-  return out;
-}
-
-std::string to_base64(BytesView data) {
-  std::string out;
-  out.reserve((data.size() + 2) / 3 * 4);
-  std::size_t i = 0;
-  for (; i + 3 <= data.size(); i += 3) {
-    const std::uint32_t n = (static_cast<std::uint32_t>(data[i]) << 16) |
-                            (static_cast<std::uint32_t>(data[i + 1]) << 8) |
-                            data[i + 2];
-    out.push_back(kB64Alphabet[(n >> 18) & 63]);
-    out.push_back(kB64Alphabet[(n >> 12) & 63]);
-    out.push_back(kB64Alphabet[(n >> 6) & 63]);
-    out.push_back(kB64Alphabet[n & 63]);
-  }
-  const std::size_t rest = data.size() - i;
-  if (rest == 1) {
-    const std::uint32_t n = static_cast<std::uint32_t>(data[i]) << 16;
-    out.push_back(kB64Alphabet[(n >> 18) & 63]);
-    out.push_back(kB64Alphabet[(n >> 12) & 63]);
-    out.append("==");
-  } else if (rest == 2) {
-    const std::uint32_t n = (static_cast<std::uint32_t>(data[i]) << 16) |
-                            (static_cast<std::uint32_t>(data[i + 1]) << 8);
-    out.push_back(kB64Alphabet[(n >> 18) & 63]);
-    out.push_back(kB64Alphabet[(n >> 12) & 63]);
-    out.push_back(kB64Alphabet[(n >> 6) & 63]);
-    out.push_back('=');
-  }
-  return out;
-}
-
-std::optional<Bytes> from_base64(std::string_view text) {
-  if (text.size() % 4 != 0) return std::nullopt;
-  Bytes out;
-  out.reserve(text.size() / 4 * 3);
-  for (std::size_t i = 0; i < text.size(); i += 4) {
-    int vals[4];
-    int pad = 0;
-    for (int j = 0; j < 4; ++j) {
-      const char c = text[i + j];
-      if (c == '=') {
-        // Padding may only appear in the last two positions of the final
-        // quartet.
-        if (i + 4 != text.size() || j < 2) return std::nullopt;
-        vals[j] = 0;
-        ++pad;
-      } else {
-        if (pad > 0) return std::nullopt;  // data after padding
-        vals[j] = b64_value(c);
-        if (vals[j] < 0) return std::nullopt;
-      }
-    }
-    const std::uint32_t n =
-        (static_cast<std::uint32_t>(vals[0]) << 18) |
-        (static_cast<std::uint32_t>(vals[1]) << 12) |
-        (static_cast<std::uint32_t>(vals[2]) << 6) |
-        static_cast<std::uint32_t>(vals[3]);
-    out.push_back(static_cast<std::uint8_t>((n >> 16) & 0xff));
-    if (pad < 2) out.push_back(static_cast<std::uint8_t>((n >> 8) & 0xff));
-    if (pad < 1) out.push_back(static_cast<std::uint8_t>(n & 0xff));
   }
   return out;
 }

@@ -1,6 +1,6 @@
 #pragma once
 /// \file bytes.hpp
-/// Byte-buffer helpers shared across the library: hex and base64 codecs,
+/// Byte-buffer helpers shared across the library: a hex codec,
 /// conversions between strings and byte vectors, and a streaming
 /// big-endian writer/reader used by the wire protocol.
 
@@ -26,13 +26,6 @@ using BytesView = std::span<const std::uint8_t>;
 /// std::nullopt on any malformed input rather than throwing, because hex
 /// frequently arrives from the network.
 [[nodiscard]] std::optional<Bytes> from_hex(std::string_view hex);
-
-/// Encodes \p data using the standard base64 alphabet with padding.
-[[nodiscard]] std::string to_base64(BytesView data);
-
-/// Decodes standard base64 (padding required). Returns std::nullopt on
-/// malformed input.
-[[nodiscard]] std::optional<Bytes> from_base64(std::string_view text);
 
 /// Copies the characters of \p text into a byte buffer (no encoding).
 [[nodiscard]] Bytes bytes_of(std::string_view text);

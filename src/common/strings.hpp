@@ -1,8 +1,8 @@
 #pragma once
 /// \file strings.hpp
-/// Small string utilities shared by the config loader, the policy DSL
-/// lexer, and CSV parsing. Kept allocation-light: views in, owned strings
-/// out only where lifetime demands it.
+/// Small string utilities shared by the config loader and CSV parsing.
+/// Kept allocation-light: views in, owned strings out only where lifetime
+/// demands it.
 
 #include <optional>
 #include <string>

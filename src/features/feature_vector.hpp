@@ -6,7 +6,7 @@
 /// of its attribute vector to previously-seen malicious IPs. The original
 /// attributes come from a commercial threat feed; here the schema is a
 /// fixed set of transport/application-level statistics that a server-side
-/// observer can compute per source IP (see DESIGN.md §2 for the
+/// observer can compute per source IP (see features/synthetic.hpp for the
 /// substitution rationale).
 
 #include <array>

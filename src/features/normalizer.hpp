@@ -1,8 +1,8 @@
 #pragma once
 /// \file normalizer.hpp
-/// Feature normalization. The reputation models are distance-based, so
-/// they are only meaningful on comparable feature scales; both normalizers
-/// are fit on training data and then applied to queries.
+/// Feature normalization. DAbR is distance-based, so it is only
+/// meaningful on comparable feature scales; both normalizers are fit on
+/// training data and then applied to queries.
 
 #include <array>
 

@@ -1,11 +1,12 @@
 #pragma once
 /// \file synthetic.hpp
 /// Synthetic labeled IP traffic. Substitutes for the proprietary
-/// threat-feed attribute data DAbR was trained on (DESIGN.md §2): benign
-/// and malicious populations are drawn from overlapping per-feature
-/// distributions. The `class_overlap` knob moves the malicious
+/// threat-feed attribute data DAbR was trained on: benign and malicious
+/// populations are drawn from overlapping per-feature distributions.
+/// The `class_overlap` knob moves the malicious
 /// distribution toward the benign one; the default is calibrated so a
-/// distance-based scorer achieves roughly the 80% accuracy DAbR reports.
+/// distance-based scorer achieves roughly the 80% accuracy DAbR reports
+/// (checked by Dabr.AccuracyNearPublishedEightyPercentAtDefaultOverlap).
 
 #include <cstdint>
 

@@ -41,7 +41,8 @@ struct LinkModel final {
 
 /// A symmetric-latency LAN-ish default used by the experiments: ~15 ms
 /// one-way (the calibration that puts the d=1 round trip near the
-/// paper's 31 ms — see EXPERIMENTS.md).
+/// paper's 31 ms; LatencyModel.CalibrationHitsThePapersAnchors in
+/// tests/test_sim.cpp checks that anchor).
 [[nodiscard]] LinkModel default_experiment_link();
 
 }  // namespace powai::netsim

@@ -3,8 +3,8 @@
 /// The policy module (Fig. 1, step 3): a rule-based strategy mapping a
 /// client's reputation score R ∈ [0, 10] to a puzzle difficulty d. The
 /// paper evaluates three concrete policies (two linear mappings and an
-/// error-range mapping); this interface also hosts the extension policies
-/// and the rule-DSL policies.
+/// error-range mapping); an administrator's own policy is one more
+/// subclass of this interface (examples/custom_policy.cpp).
 
 #include <cstdint>
 #include <memory>

@@ -27,7 +27,7 @@ class IReputationModel {
  public:
   virtual ~IReputationModel() = default;
 
-  /// Short stable identifier ("dabr", "knn", ...).
+  /// Short stable identifier ("dabr").
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// Trains the model on labeled examples.

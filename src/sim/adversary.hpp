@@ -14,8 +14,9 @@
 ///                  (limits of IP-keyed scoring; partially mitigated)
 ///
 /// Each strategy runs a fixed number of service attempts against a real
-/// PowServer and reports how many were actually served. The experiment
-/// regenerates the security table in EXPERIMENTS.md.
+/// PowServer and reports how many were actually served.
+/// bench/bench_adversary.cpp prints the security table, and
+/// tests/test_adversary.cpp checks it.
 
 #include <cstdint>
 #include <string>

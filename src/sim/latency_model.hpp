@@ -9,9 +9,10 @@
 ///           + server processing                      (steps 2, 3, 6)
 ///           + attempts × per-hash cost               (step: solving)
 ///
-/// Calibration anchors (EXPERIMENTS.md): the paper reports ~31 ms to
-/// solve a 1-difficult puzzle, and its Figure 2 tops out near ~900 ms for
-/// Policy 2 at reputation 10 (difficulty 15). Defaults below hit both:
+/// Calibration anchors, checked by LatencyModel.CalibrationHitsThePapersAnchors
+/// in tests/test_sim.cpp: the paper reports ~31 ms to solve a 1-difficult
+/// puzzle, and its Figure 2 tops out near ~900 ms for Policy 2 at
+/// reputation 10 (difficulty 15). Defaults below hit both:
 /// 4 × 7.5 ms + 0.6 ms ≈ 31 ms fixed overhead, and 2^15·ln2 ≈ 22.7k
 /// median attempts × 38 µs ≈ 863 ms on top for d = 15.
 

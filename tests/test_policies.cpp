@@ -1,14 +1,12 @@
-// Tests for the paper's three policies and the extension policies.
+// Tests for the paper's three policies.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
-#include <memory>
 
 #include "common/rng.hpp"
 #include "policy/error_range_policy.hpp"
-#include "policy/extensions.hpp"
 #include "policy/linear_policy.hpp"
 #include "policy/policy.hpp"
 
@@ -177,140 +175,13 @@ TEST(ErrorRangePolicy, MeanDifficultyBetweenPolicies1And2) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// StepPolicy
-// ---------------------------------------------------------------------------
-
-TEST(StepPolicy, TierLookup) {
-  const StepPolicy p({{3.0, 2}, {7.0, 8}, {10.0, 15}});
-  common::Rng rng(6);
-  EXPECT_EQ(p.difficulty(0.0, rng), 2u);
-  EXPECT_EQ(p.difficulty(3.0, rng), 2u);   // inclusive bound
-  EXPECT_EQ(p.difficulty(3.01, rng), 8u);
-  EXPECT_EQ(p.difficulty(7.0, rng), 8u);
-  EXPECT_EQ(p.difficulty(9.9, rng), 15u);
-  EXPECT_EQ(p.difficulty(10.0, rng), 15u);
-}
-
-TEST(StepPolicy, RejectsBadTierLists) {
-  EXPECT_THROW(StepPolicy({}), std::invalid_argument);
-  EXPECT_THROW(StepPolicy({{5.0, 2}, {5.0, 3}, {10.0, 4}}),
-               std::invalid_argument);
-  EXPECT_THROW(StepPolicy({{7.0, 2}, {3.0, 3}, {10.0, 4}}),
-               std::invalid_argument);
-  EXPECT_THROW(StepPolicy({{3.0, 2}, {9.0, 3}}), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// ExponentialPolicy
-// ---------------------------------------------------------------------------
-
-TEST(ExponentialPolicy, GrowsGeometrically) {
-  const ExponentialPolicy p(1.0, 1.3);
-  common::Rng rng(7);
-  EXPECT_EQ(p.difficulty(0.0, rng), 1u);
-  // 1.3^10 = 13.78... -> ceil = 14
-  EXPECT_EQ(p.difficulty(10.0, rng), 14u);
-  // Monotone in between.
-  Difficulty prev = 0;
-  for (double s = 0.0; s <= 10.0; s += 0.5) {
-    const Difficulty d = p.difficulty(s, rng);
-    EXPECT_GE(d, prev);
-    prev = d;
-  }
-}
-
-TEST(ExponentialPolicy, RejectsBadParameters) {
-  EXPECT_THROW(ExponentialPolicy(0.5, 1.3), std::invalid_argument);
-  EXPECT_THROW(ExponentialPolicy(1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(ExponentialPolicy(1.0, 0.9), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// TargetLatencyPolicy
-// ---------------------------------------------------------------------------
-
-TEST(TargetLatencyPolicy, InterpolatesTargetsLogarithmically) {
-  const TargetLatencyPolicy p(30.0, 900.0, 0.5);
-  EXPECT_DOUBLE_EQ(p.target_latency_ms(0.0), 30.0);
-  EXPECT_DOUBLE_EQ(p.target_latency_ms(10.0), 900.0);
-  // Midpoint in log space: sqrt(30 * 900).
-  EXPECT_NEAR(p.target_latency_ms(5.0), std::sqrt(30.0 * 900.0), 1e-9);
-}
-
-TEST(TargetLatencyPolicy, InvertsExpectedWorkModel) {
-  const double hash_us = 0.5;
-  const TargetLatencyPolicy p(30.0, 900.0, hash_us);
-  common::Rng rng(8);
-  for (double s = 0.0; s <= 10.0; s += 1.0) {
-    const Difficulty d = p.difficulty(s, rng);
-    // 2^d expected hashes should bracket the target within one difficulty
-    // step (factor of two) in each direction.
-    const double achieved_us = std::pow(2.0, d) * hash_us;
-    const double target_us = p.target_latency_ms(s) * 1000.0;
-    EXPECT_GT(achieved_us, target_us / 2.1) << "s=" << s;
-    EXPECT_LT(achieved_us, target_us * 2.1) << "s=" << s;
-  }
-}
-
-TEST(TargetLatencyPolicy, RejectsBadParameters) {
-  EXPECT_THROW(TargetLatencyPolicy(0.0, 900.0, 0.5), std::invalid_argument);
-  EXPECT_THROW(TargetLatencyPolicy(900.0, 30.0, 0.5), std::invalid_argument);
-  EXPECT_THROW(TargetLatencyPolicy(30.0, 900.0, 0.0), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// AdaptiveLoadPolicy / ClampPolicy
-// ---------------------------------------------------------------------------
-
-TEST(AdaptiveLoadPolicy, AddsSurchargeProportionalToLoad) {
-  auto inner = std::make_unique<LinearPolicy>(1);
-  AdaptiveLoadPolicy p(std::move(inner), 6);
-  common::Rng rng(9);
-  EXPECT_EQ(p.difficulty(4.0, rng), 5u);  // load 0: passthrough
-  p.set_load(0.5);
-  EXPECT_EQ(p.difficulty(4.0, rng), 8u);  // +ceil(6*0.5)=3
-  p.set_load(1.0);
-  EXPECT_EQ(p.difficulty(4.0, rng), 11u);  // +6
-}
-
-TEST(AdaptiveLoadPolicy, LoadIsClamped) {
-  AdaptiveLoadPolicy p(std::make_unique<LinearPolicy>(1), 4);
-  p.set_load(7.0);
-  EXPECT_DOUBLE_EQ(p.load(), 1.0);
-  p.set_load(-1.0);
-  EXPECT_DOUBLE_EQ(p.load(), 0.0);
-}
-
-TEST(AdaptiveLoadPolicy, RejectsNullInner) {
-  EXPECT_THROW(AdaptiveLoadPolicy(nullptr, 4), std::invalid_argument);
-}
-
-TEST(ClampPolicy, RestrictsRange) {
-  ClampPolicy p(std::make_unique<LinearPolicy>(5), 6, 9);
-  common::Rng rng(10);
-  EXPECT_EQ(p.difficulty(0.0, rng), 6u);   // raw 5 clamped up
-  EXPECT_EQ(p.difficulty(10.0, rng), 9u);  // raw 15 clamped down
-  EXPECT_EQ(p.difficulty(2.0, rng), 7u);   // raw 7 untouched
-}
-
-TEST(ClampPolicy, RejectsBadBoundsAndNull) {
-  EXPECT_THROW(ClampPolicy(std::make_unique<LinearPolicy>(1), 9, 6),
-               std::invalid_argument);
-  EXPECT_THROW(ClampPolicy(nullptr, 1, 2), std::invalid_argument);
-}
-
 TEST(Describe, AllPoliciesProduceNonEmptyDescriptions) {
-  common::Rng rng(11);
-  EXPECT_FALSE(LinearPolicy(1).describe().empty());
+  // The paper's five policy specs, as PolicySweep names them.
+  EXPECT_FALSE(LinearPolicy::policy1().describe().empty());
+  EXPECT_FALSE(LinearPolicy::policy2().describe().empty());
+  EXPECT_FALSE(LinearPolicy(3, 0.5).describe().empty());
   EXPECT_FALSE(ErrorRangePolicy(1.5).describe().empty());
-  EXPECT_FALSE(StepPolicy({{10.0, 3}}).describe().empty());
-  EXPECT_FALSE(ExponentialPolicy().describe().empty());
-  EXPECT_FALSE(TargetLatencyPolicy(30, 900, 0.5).describe().empty());
-  EXPECT_FALSE(
-      AdaptiveLoadPolicy(std::make_unique<LinearPolicy>(1), 3).describe().empty());
-  EXPECT_FALSE(
-      ClampPolicy(std::make_unique<LinearPolicy>(1), 1, 5).describe().empty());
+  EXPECT_FALSE(ErrorRangePolicy(3.0).describe().empty());
 }
 
 }  // namespace

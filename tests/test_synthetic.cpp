@@ -1,5 +1,5 @@
 // Tests for the synthetic trace generator (the data substitution for the
-// proprietary threat feed — see DESIGN.md §2).
+// proprietary threat feed — see src/features/synthetic.hpp).
 
 #include "features/synthetic.hpp"
 
