@@ -75,6 +75,20 @@ std::string Table::to_csv() const {
   return out;
 }
 
+std::string Table::to_markdown() const {
+  std::string out = "|";
+  for (const auto& h : header_) out += " " + h + " |";
+  out += "\n|";
+  for (std::size_t c = 0; c < header_.size(); ++c) out += "---|";
+  out += '\n';
+  for (const auto& row : rows_) {
+    out += "|";
+    for (const auto& cell : row) out += " " + cell + " |";
+    out += '\n';
+  }
+  return out;
+}
+
 std::string fmt_f(double value, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", decimals, value);

@@ -1,7 +1,7 @@
 #pragma once
 /// \file table.hpp
-/// Plain-text/CSV table rendering used by every bench binary to print the
-/// paper's tables and figure series in a uniform format.
+/// Plain-text/CSV/markdown table rendering used by every bench binary to
+/// print the paper's tables and figure series in a uniform format.
 
 #include <string>
 #include <vector>
@@ -27,6 +27,9 @@ class Table final {
   /// RFC-4180-ish CSV (no quoting needed for our numeric content, but
   /// cells containing commas/quotes are quoted correctly anyway).
   [[nodiscard]] std::string to_csv() const;
+
+  /// GitHub-flavoured markdown.
+  [[nodiscard]] std::string to_markdown() const;
 
  private:
   std::vector<std::string> header_;

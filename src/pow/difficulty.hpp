@@ -3,9 +3,7 @@
 /// Difficulty arithmetic. A d-difficult puzzle requires a SHA-256 output
 /// with d leading zero bits; each attempt succeeds independently with
 /// probability 2^-d, so attempts-to-solve is geometric. These helpers
-/// convert between difficulty, expected work, time, and confidence — the
-/// quantitative backbone of the latency model used in the Figure 2
-/// reproduction.
+/// convert between difficulty, expected work, time, and confidence.
 
 #include <cstdint>
 

@@ -1,11 +1,12 @@
 // Parameterized property sweeps across the system's core invariants:
 // solve/verify round trips per difficulty, tamper rejection per field,
-// policy monotonicity per policy, and protocol round trips per payload
-// shape.
+// policy monotonicity per policy, protocol round trips per payload shape,
+// and multi-puzzle work conservation per fanout.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,7 @@
 #include "policy/error_range_policy.hpp"
 #include "policy/linear_policy.hpp"
 #include "pow/generator.hpp"
+#include "pow/multi_puzzle.hpp"
 #include "pow/solver.hpp"
 #include "pow/verifier.hpp"
 
@@ -249,6 +251,38 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolSweep,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u),
                          [](const auto& info) {
                            return "seed" + std::to_string(info.param);
+                         });
+
+// ---------------------------------------------------------------------------
+// Property: multi-puzzle fanouts conserve expected work and verify.
+// ---------------------------------------------------------------------------
+
+class FanoutSweep : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(FanoutSweep, SolvesVerifiesAndConservesWork) {
+  const unsigned fanout = GetParam();
+  common::ManualClock clock;
+  pow::PuzzleGenerator gen(clock, common::bytes_of("fanout-sweep"));
+  const unsigned d = 10;
+  const pow::MultiPuzzle m = pow::split_puzzle(gen.issue_for("10.0.0.1", 1, d), fanout);
+  EXPECT_DOUBLE_EQ(
+      static_cast<double>(fanout) * std::pow(2.0, m.sub_difficulty),
+      std::pow(2.0, d));
+  const pow::MultiSolveResult r = pow::solve_multi(m);
+  ASSERT_TRUE(r.found);
+  EXPECT_TRUE(pow::is_valid_multi_solution(m, r.solution));
+  // Cross-fanout isolation: a solution for fanout k never validates
+  // against a different split of the same base puzzle.
+  if (fanout > 1) {
+    const pow::MultiPuzzle other = pow::split_puzzle(m.base, fanout / 2);
+    EXPECT_FALSE(pow::is_valid_multi_solution(other, r.solution));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fanouts, FanoutSweep,
+                         ::testing::Values(1u, 2u, 4u, 8u, 16u, 32u),
+                         [](const auto& info) {
+                           return "k" + std::to_string(info.param);
                          });
 
 }  // namespace

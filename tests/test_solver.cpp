@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <thread>
 #include <utility>
 
 #include "common/clock.hpp"
+#include "pow/difficulty.hpp"
 #include "pow/generator.hpp"
 
 namespace powai::pow {
@@ -155,6 +158,57 @@ TEST(Solver, HigherDifficultyTakesMoreAttemptsOnAverage) {
         Solver{}.solve(gen.issue_for("1.1.1.1", 2 * key + 1, 9)).attempts);
   }
   EXPECT_GT(mean_high / trials, 4.0 * mean_low / trials);
+}
+
+TEST(Difficulty, ExpectedHashesDoublesPerStep) {
+  EXPECT_DOUBLE_EQ(expected_hashes(0), 1.0);
+  EXPECT_DOUBLE_EQ(expected_hashes(1), 2.0);
+  EXPECT_DOUBLE_EQ(expected_hashes(10), 1024.0);
+  EXPECT_DOUBLE_EQ(expected_hashes(11) / expected_hashes(10), 2.0);
+  EXPECT_THROW((void)expected_hashes(300), std::invalid_argument);
+}
+
+TEST(Difficulty, SolveProbabilityBasics) {
+  EXPECT_DOUBLE_EQ(solve_probability(3, 0), 0.0);
+  EXPECT_DOUBLE_EQ(solve_probability(0, 1), 1.0);  // d=0 always solves
+  EXPECT_NEAR(solve_probability(1, 1), 0.5, 1e-12);
+  // One expected-work's worth of attempts solves with ~63%.
+  EXPECT_NEAR(solve_probability(10, 1024), 1.0 - std::exp(-1.0), 0.01);
+}
+
+TEST(Difficulty, SolveProbabilityMonotoneInAttempts) {
+  double prev = 0.0;
+  for (std::uint64_t n : {1u, 10u, 100u, 1000u, 10000u}) {
+    const double p = solve_probability(8, n);
+    EXPECT_GT(p, prev);
+    prev = p;
+  }
+}
+
+TEST(Difficulty, AttemptsForConfidenceInvertsProbability) {
+  const double attempts = attempts_for_confidence(10, 0.99);
+  const double p = solve_probability(
+      10, static_cast<std::uint64_t>(std::ceil(attempts)));
+  EXPECT_NEAR(p, 0.99, 0.002);
+  EXPECT_THROW((void)attempts_for_confidence(10, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)attempts_for_confidence(10, 1.0), std::invalid_argument);
+}
+
+TEST(Difficulty, TimingHelpers) {
+  // 1000 hashes/s, d=10 (1024 expected hashes) -> ~1024 ms expected.
+  EXPECT_NEAR(expected_solve_ms(10, 1000.0), 1024.0, 1e-9);
+  EXPECT_NEAR(median_solve_ms(10, 1000.0), 1024.0 * std::numbers::ln2, 1e-9);
+  EXPECT_THROW((void)expected_solve_ms(10, 0.0), std::invalid_argument);
+}
+
+TEST(Difficulty, DifficultyForTargetRoundTrips) {
+  const double hash_rate = 1e6;
+  for (unsigned d : {5u, 10u, 15u, 20u}) {
+    const double target = expected_solve_ms(d, hash_rate);
+    EXPECT_EQ(difficulty_for_target_ms(target, hash_rate), d);
+  }
+  EXPECT_EQ(difficulty_for_target_ms(1e-9, hash_rate), 1u);  // clamps low
+  EXPECT_THROW((void)difficulty_for_target_ms(0.0, 1.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -41,6 +41,13 @@ TEST(Table, CsvRoundStructure) {
   EXPECT_EQ(t.to_csv(), "x,y\n1,2\n");
 }
 
+TEST(Table, MarkdownShape) {
+  Table t({"x"});
+  t.add_row({"1"});
+  const std::string md = t.to_markdown();
+  EXPECT_EQ(md, "| x |\n|---|\n| 1 |\n");
+}
+
 TEST(Table, Dimensions) {
   Table t({"a", "b", "c"});
   EXPECT_EQ(t.columns(), 3u);
