@@ -59,7 +59,7 @@ using CompressFn = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
 
 constexpr Sha256Backend kAllBackends[] = {
     Sha256Backend::kGeneric, Sha256Backend::kShaNi, Sha256Backend::kAvx2,
-    Sha256Backend::kAvx512, Sha256Backend::kArmv8};
+    Sha256Backend::kAvx512, Sha256Backend::kArmv8, Sha256Backend::kShaNiAvx512};
 
 bool backend_supported(Sha256Backend b) {
   switch (b) {
@@ -72,6 +72,8 @@ bool backend_supported(Sha256Backend b) {
       return detail::cpu_supports_avx2();
     case Sha256Backend::kAvx512:
       return detail::cpu_supports_avx512();
+    case Sha256Backend::kShaNiAvx512:
+      return detail::cpu_supports_shani() && detail::cpu_supports_avx512();
 #endif
 #ifdef POWAI_SHA256_ARM_DISPATCH
     case Sha256Backend::kArmv8:
@@ -82,12 +84,16 @@ bool backend_supported(Sha256Backend b) {
   }
 }
 
-/// Auto order: the crypto extensions first (SHA-NI / ARMv8-CE win every
-/// one-at-a-time hash — issuance, HMAC, verification — and SHA-NI runs
-/// 2-way interleaved sweeps), then the multi-lane backends widest first
-/// (they pay on hash_many and lane sweeps and fall back to the scalar
-/// reference for single streams).
+/// Auto order: SHA-NI paired with AVX-512 first (SHA-NI single streams,
+/// 16-lane sweeps), then the crypto extensions alone (SHA-NI / ARMv8-CE
+/// win every one-at-a-time hash — issuance, HMAC, verification — and
+/// SHA-NI runs 2-way interleaved sweeps), then the multi-lane backends
+/// widest first (they pay on hash_many and lane sweeps and fall back to
+/// the scalar reference for single streams).
 Sha256Backend best_backend() {
+  if (backend_supported(Sha256Backend::kShaNiAvx512)) {
+    return Sha256Backend::kShaNiAvx512;
+  }
   if (backend_supported(Sha256Backend::kShaNi)) return Sha256Backend::kShaNi;
   if (backend_supported(Sha256Backend::kArmv8)) return Sha256Backend::kArmv8;
   if (backend_supported(Sha256Backend::kAvx512)) return Sha256Backend::kAvx512;
@@ -115,6 +121,7 @@ CompressFn active_compress() {
       backend_slot().load(std::memory_order_relaxed))) {
 #ifdef POWAI_SHA256_X86_DISPATCH
     case Sha256Backend::kShaNi:
+    case Sha256Backend::kShaNiAvx512:
       return &detail::compress_shani;
 #endif
 #ifdef POWAI_SHA256_ARM_DISPATCH
@@ -164,7 +171,8 @@ const LaneKernel& active_lane_kernel() {
                                               &detail::hash8_avx2};
       return kAvx2Kernel;
     }
-    case Sha256Backend::kAvx512: {
+    case Sha256Backend::kAvx512:
+    case Sha256Backend::kShaNiAvx512: {
       static constexpr LaneKernel kAvx512Kernel{16, &detail::finish16_avx512,
                                                 &detail::hash16_avx512};
       return kAvx512Kernel;
@@ -266,6 +274,8 @@ std::string_view Sha256::backend_name(Sha256Backend b) {
       return "avx512";
     case Sha256Backend::kArmv8:
       return "armv8";
+    case Sha256Backend::kShaNiAvx512:
+      return "shani_avx512";
   }
   return "unknown";
 }
@@ -289,7 +299,7 @@ Sha256Backend Sha256::backend_from_name(std::string_view name) {
   throw std::runtime_error(
       "POWAI_SHA256_BACKEND=" + std::string(name) +
       " is not a known backend (accepted values: auto, generic, shani, "
-      "avx2, avx512, armv8)");
+      "avx2, avx512, armv8, shani_avx512)");
 }
 
 std::size_t Sha256::lane_width(Sha256Backend b) {
@@ -299,6 +309,7 @@ std::size_t Sha256::lane_width(Sha256Backend b) {
     case Sha256Backend::kAvx2:
       return 8;
     case Sha256Backend::kAvx512:
+    case Sha256Backend::kShaNiAvx512:
       return 16;
     default:
       return 1;

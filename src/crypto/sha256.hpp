@@ -22,12 +22,14 @@
 /// hash_many. Every backend has a lane finish kernel for the solver's
 /// shared-midstate nonce sweeps: 16 lanes on AVX-512, 8 on AVX2, 2 on
 /// SHA-NI (two streams interleaved round by round) and 1 on generic
-/// and ARMv8-CE. The best supported backend is selected
+/// and ARMv8-CE. One backend pairs two kernels: shani_avx512 hashes
+/// single streams on SHA-NI and sweeps lanes on AVX-512, so each use
+/// site gets the faster kernel. The best supported backend is selected
 /// once at startup; the environment variable POWAI_SHA256_BACKEND
-/// (auto|generic|shani|avx2|avx512|armv8) overrides the choice — an
-/// unknown or unsupported-on-this-CPU value fails loudly with
-/// std::runtime_error — and tests can force one programmatically via
-/// set_backend().
+/// (auto|generic|shani|avx2|avx512|armv8|shani_avx512) overrides the
+/// choice — an unknown or unsupported-on-this-CPU value fails loudly
+/// with std::runtime_error — and tests can force one programmatically
+/// via set_backend().
 
 #include <array>
 #include <cstdint>
@@ -49,6 +51,10 @@ enum class Sha256Backend : std::uint8_t {
   kAvx2 = 2,     ///< 8-lane AVX2 multi-buffer for lane sweeps; scalar otherwise
   kAvx512 = 3,   ///< 16-lane AVX-512 multi-buffer for lane sweeps; scalar otherwise
   kArmv8 = 4,    ///< ARMv8 crypto extensions, one message at a time
+  /// SHA-NI for every single-stream hash (issuance, HMAC, DRBG, verify,
+  /// finish_blocks); the 16-lane AVX-512 kernels for lane sweeps and
+  /// hash_many. Needs both feature sets; auto picks it first.
+  kShaNiAvx512 = 5,
 };
 
 /// Chaining state captured after absorbing the full 64-byte blocks of a
@@ -167,10 +173,10 @@ class Sha256 final {
       std::span<const common::BytesView> suffixes, std::span<Digest> out);
 
   /// Lanes finished per lane-kernel call under backend \p b: 16 for
-  /// AVX-512, 8 for AVX2, 2 for SHA-NI (two interleaved streams), 1 for
-  /// generic and ARMv8-CE. Callers batching work for
-  /// finish_many_with_suffix / Sha256LaneSweep should hand over
-  /// multiples of it.
+  /// AVX-512 and SHA-NI+AVX-512, 8 for AVX2, 2 for SHA-NI (two
+  /// interleaved streams), 1 for generic and ARMv8-CE. Callers batching
+  /// work for finish_many_with_suffix / Sha256LaneSweep should hand
+  /// over multiples of it.
   [[nodiscard]] static std::size_t lane_width(Sha256Backend b);
 
   /// The backend servicing calls right now.
@@ -185,7 +191,7 @@ class Sha256 final {
   [[nodiscard]] static std::vector<Sha256Backend> supported_backends();
 
   /// Stable lowercase name ("generic", "shani", "avx2", "avx512",
-  /// "armv8").
+  /// "armv8", "shani_avx512").
   [[nodiscard]] static std::string_view backend_name(Sha256Backend b);
 
   /// Resolves a POWAI_SHA256_BACKEND-style value: "auto" (or empty)

@@ -1,51 +1,9 @@
 #include "features/normalizer.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace powai::features {
-
-void MinMaxNormalizer::fit(const Dataset& data) {
-  if (data.empty()) {
-    throw std::invalid_argument("MinMaxNormalizer::fit: empty dataset");
-  }
-  for (std::size_t i = 0; i < kFeatureCount; ++i) {
-    lo_[i] = data[0].features[i];
-    hi_[i] = data[0].features[i];
-  }
-  for (const auto& row : data.rows()) {
-    for (std::size_t i = 0; i < kFeatureCount; ++i) {
-      lo_[i] = std::min(lo_[i], row.features[i]);
-      hi_[i] = std::max(hi_[i], row.features[i]);
-    }
-  }
-  fitted_ = true;
-}
-
-FeatureVector MinMaxNormalizer::transform(const FeatureVector& x) const {
-  if (!fitted_) throw std::logic_error("MinMaxNormalizer: not fitted");
-  FeatureVector out;
-  for (std::size_t i = 0; i < kFeatureCount; ++i) {
-    const double width = hi_[i] - lo_[i];
-    if (width <= 0.0) {
-      out[i] = 0.5;
-    } else {
-      out[i] = std::clamp((x[i] - lo_[i]) / width, 0.0, 1.0);
-    }
-  }
-  return out;
-}
-
-Dataset MinMaxNormalizer::fit_transform(const Dataset& data) {
-  fit(data);
-  Dataset out;
-  out.reserve(data.size());
-  for (const auto& row : data.rows()) {
-    out.add({row.ip, transform(row.features), row.malicious});
-  }
-  return out;
-}
 
 void ZScoreNormalizer::fit(const Dataset& data) {
   if (data.empty()) {

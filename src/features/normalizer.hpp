@@ -1,7 +1,7 @@
 #pragma once
 /// \file normalizer.hpp
 /// Feature normalization. DAbR is distance-based, so it is only
-/// meaningful on comparable feature scales; both normalizers are fit on
+/// meaningful on comparable feature scales; the normalizer is fit on
 /// training data and then applied to queries.
 
 #include <array>
@@ -10,31 +10,6 @@
 #include "features/feature_vector.hpp"
 
 namespace powai::features {
-
-/// Per-feature affine map x' = (x - lo) / (hi - lo) onto [0, 1]
-/// (constant features map to 0.5). Queries outside the training range are
-/// clamped to [0, 1] so one wild feature cannot dominate a distance.
-class MinMaxNormalizer final {
- public:
-  /// Fits bounds from \p data (throws std::invalid_argument if empty).
-  void fit(const Dataset& data);
-
-  [[nodiscard]] bool fitted() const { return fitted_; }
-
-  /// Transforms one vector (throws std::logic_error if not fitted).
-  [[nodiscard]] FeatureVector transform(const FeatureVector& x) const;
-
-  /// Fits and transforms every row of \p data into a new dataset.
-  [[nodiscard]] Dataset fit_transform(const Dataset& data);
-
-  [[nodiscard]] double lo(std::size_t i) const { return lo_[i]; }
-  [[nodiscard]] double hi(std::size_t i) const { return hi_[i]; }
-
- private:
-  std::array<double, kFeatureCount> lo_{};
-  std::array<double, kFeatureCount> hi_{};
-  bool fitted_ = false;
-};
 
 /// Per-feature standardization x' = (x - mean) / std (constant features
 /// map to 0). No clamping: z-scores legitimately exceed +-1.

@@ -87,8 +87,9 @@ class PuzzleContext final {
   /// Checks \p count strided nonces (start, start + stride, ...) in one
   /// call through one crypto::Sha256LaneSweep: the lane kernel is
   /// resolved once per call and each lane group finishes
-  /// lane_width() nonces from the shared midstate (16 on AVX-512, 8 on
-  /// AVX2, 2 interleaved streams on SHA-NI, 1 on generic and ARMv8-CE).
+  /// lane_width() nonces from the shared midstate (16 on AVX-512 and
+  /// shani_avx512, 8 on AVX2, 2 interleaved streams on SHA-NI, 1 on
+  /// generic and ARMv8-CE).
   /// Returns the index of the FIRST qualifying nonce in probe order, or
   /// \p count when none qualifies — the observable result is
   /// bit-identical to calling check() on each nonce in sequence.

@@ -7,7 +7,8 @@
 ///
 /// The inner loop is lane-parallel: every SHA-256 backend finishes
 /// nonces lane_width() at a time from the shared midstate
-/// (PuzzleContext::check_many) — 16 per AVX-512 sweep, 8 per AVX2
+/// (PuzzleContext::check_many) — 16 per AVX-512 sweep (also under
+/// shani_avx512, which keeps single streams on SHA-NI), 8 per AVX2
 /// sweep, 2 interleaved streams on SHA-NI, 1 on generic and ARMv8-CE —
 /// writing only the 8 nonce bytes of a pre-padded final block per
 /// probe. The observable result — (found, nonce, attempts) — is

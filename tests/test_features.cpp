@@ -163,47 +163,6 @@ TEST(Dataset, MeanAndClassMean) {
   EXPECT_DOUBLE_EQ(d.class_mean(false)[0], 1.0);
 }
 
-TEST(MinMaxNormalizer, MapsOntoUnitInterval) {
-  Dataset d;
-  for (double x : {0.0, 5.0, 10.0}) {
-    LabeledExample e;
-    e.features = vec(x);
-    e.malicious = x > 5.0;
-    d.add(e);
-  }
-  MinMaxNormalizer norm;
-  norm.fit(d);
-  EXPECT_DOUBLE_EQ(norm.transform(vec(0.0))[0], 0.0);
-  EXPECT_DOUBLE_EQ(norm.transform(vec(5.0))[0], 0.5);
-  EXPECT_DOUBLE_EQ(norm.transform(vec(10.0))[0], 1.0);
-}
-
-TEST(MinMaxNormalizer, ClampsOutOfRangeQueries) {
-  Dataset d = tiny_dataset();
-  MinMaxNormalizer norm;
-  norm.fit(d);
-  EXPECT_DOUBLE_EQ(norm.transform(vec(-100.0))[0], 0.0);
-  EXPECT_DOUBLE_EQ(norm.transform(vec(100.0))[0], 1.0);
-}
-
-TEST(MinMaxNormalizer, ConstantFeatureMapsToHalf) {
-  Dataset d;
-  for (int i = 0; i < 3; ++i) {
-    LabeledExample e;
-    e.features = vec(4.2);
-    d.add(e);
-  }
-  MinMaxNormalizer norm;
-  norm.fit(d);
-  EXPECT_DOUBLE_EQ(norm.transform(vec(4.2))[0], 0.5);
-}
-
-TEST(MinMaxNormalizer, ThrowsBeforeFitAndOnEmptyFit) {
-  MinMaxNormalizer norm;
-  EXPECT_THROW((void)norm.transform(vec(1.0)), std::logic_error);
-  EXPECT_THROW(norm.fit(Dataset{}), std::invalid_argument);
-}
-
 TEST(ZScoreNormalizer, StandardizesMoments) {
   common::Rng rng(3);
   Dataset d;

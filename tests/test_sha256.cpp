@@ -174,6 +174,7 @@ TEST(Sha256, BackendNamesAreStable) {
   EXPECT_EQ(Sha256::backend_name(Sha256Backend::kGeneric), "generic");
   EXPECT_EQ(Sha256::backend_name(Sha256Backend::kShaNi), "shani");
   EXPECT_EQ(Sha256::backend_name(Sha256Backend::kAvx2), "avx2");
+  EXPECT_EQ(Sha256::backend_name(Sha256Backend::kShaNiAvx512), "shani_avx512");
 }
 
 TEST(LeadingZeroBits, AllZeroDigestIs256) {

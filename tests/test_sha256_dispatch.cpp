@@ -336,6 +336,7 @@ TEST(Sha256LaneWidth, MultiLaneBackendsReportTheirSweepWidth) {
   EXPECT_EQ(Sha256::lane_width(Sha256Backend::kArmv8), 1u);
   EXPECT_EQ(Sha256::lane_width(Sha256Backend::kAvx2), 8u);
   EXPECT_EQ(Sha256::lane_width(Sha256Backend::kAvx512), 16u);
+  EXPECT_EQ(Sha256::lane_width(Sha256Backend::kShaNiAvx512), 16u);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,7 +358,8 @@ TEST(Sha256BackendFromName, KnownNamesResolveOrThrowWhenUnsupported) {
   const auto supported = Sha256::supported_backends();
   for (Sha256Backend b :
        {Sha256Backend::kGeneric, Sha256Backend::kShaNi, Sha256Backend::kAvx2,
-        Sha256Backend::kAvx512, Sha256Backend::kArmv8}) {
+        Sha256Backend::kAvx512, Sha256Backend::kArmv8,
+        Sha256Backend::kShaNiAvx512}) {
     const std::string_view name = Sha256::backend_name(b);
     const bool is_supported =
         std::find(supported.begin(), supported.end(), b) != supported.end();
@@ -367,6 +369,33 @@ TEST(Sha256BackendFromName, KnownNamesResolveOrThrowWhenUnsupported) {
       EXPECT_THROW((void)Sha256::backend_from_name(name), std::runtime_error)
           << name;
     }
+  }
+}
+
+TEST(Sha256BackendFromName, AutoPairsShaNiWithTheWidestSweep) {
+  // The pair runs exactly where both halves run. Where it does, auto
+  // picks it and lane sweeps are 16 wide; SHA-NI without AVX-512 keeps
+  // auto on the plain SHA-NI backend.
+  const auto supported = Sha256::supported_backends();
+  const auto has = [&](Sha256Backend b) {
+    return std::find(supported.begin(), supported.end(), b) != supported.end();
+  };
+  const bool shani = has(Sha256Backend::kShaNi);
+  const bool avx512 = has(Sha256Backend::kAvx512);
+  EXPECT_EQ(has(Sha256Backend::kShaNiAvx512), shani && avx512);
+
+  const Sha256Backend picked = Sha256::backend_from_name("auto");
+  if (shani && avx512) {
+    EXPECT_EQ(picked, Sha256Backend::kShaNiAvx512);
+    const Sha256Backend previous = Sha256::backend();
+    ASSERT_TRUE(Sha256::set_backend(picked));
+    const auto ms = Sha256::precompute({});
+    const crypto::Sha256LaneSweep sweep(
+        crypto::Sha256FinalBlocks::make(ms, {}, 8));
+    EXPECT_EQ(sweep.width(), 16u);
+    ASSERT_TRUE(Sha256::set_backend(previous));
+  } else if (shani) {
+    EXPECT_EQ(picked, Sha256Backend::kShaNi);
   }
 }
 
